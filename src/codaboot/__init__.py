@@ -6,7 +6,6 @@ from .bootstrap import (
     ErrorPool,
     assemble_forecast,
     bootstrap_forecast_path,
-    build_error_pool,
     build_error_pools,
     forecast_scores,
 )
@@ -56,7 +55,6 @@ from .leecarter import (
     RESAMPLE_MODES,
     LcFit,
     fit_lc,
-    lc_bootstrap_forecast,
     lc_bootstrap_path,
 )
 from .lifetable import (

@@ -198,42 +198,6 @@ def _prefix_forecast_table(x, method, max_horizon):
     return table
 
 
-def build_error_pool(score_series, method, horizon):
-    """In-sample h-step forecast errors of one score series.
-
-    For every target time ``t = h+1 .. n`` the forecaster is refit on the
-    prefix ending at ``t - h`` and the realised error
-    ``x_t - forecast`` enters the pool, so the pool has exactly
-    ``n - h`` entries and never looks past the data it forecasts.
-
-    Parameters
-    ----------
-    score_series : array_like
-    method : str
-        One of :data:`SCORE_METHODS`; the same method used for the
-        central forecast.
-    horizon : int
-        Steps ahead, with ``n - horizon >= 3``.
-
-    Returns
-    -------
-    ndarray
-        The ``n - horizon`` errors in time order.
-    """
-    _check_method(method)
-    x = np.asarray(score_series, dtype=float)
-    h = int(horizon)
-    if h < 1:
-        raise DomainError(f"horizon must be at least 1, got {horizon}")
-    if x.size - h < 3:
-        raise InsufficientDataError(
-            f"need at least horizon + 3 = {h + 3} scores, got {x.size}"
-        )
-    table = _prefix_forecast_table(x, method, h)
-    targets = x[h:]
-    return targets - table[: x.size - h, h - 1]
-
-
 @dataclass(frozen=True)
 class ErrorPool:
     """In-sample forecast-error pools for every horizon and component.
@@ -257,10 +221,27 @@ class ErrorPool:
 def build_error_pools(
     fit, max_horizon, primary_method="random_walk_drift", residual_method="ar_aic"
 ):
-    """Error pools for all components of a fit, horizons ``1 .. max_horizon``.
+    """In-sample forecast-error pools of every component of a fit.
 
-    Equivalent to calling :func:`build_error_pool` per component and
-    horizon, but each prefix is refit only once for all horizons.
+    For horizon ``h`` and every target time ``t = h+1 .. n`` the
+    component's forecaster is refit on the prefix ending at ``t - h`` and
+    the realised error ``x_t - forecast`` enters the pool, so each pool
+    has exactly ``n - h`` entries, in time order, and never looks past the
+    data it forecasts.  Each prefix is refit only once for all horizons.
+
+    Parameters
+    ----------
+    fit : DfmFit
+    max_horizon : int
+        Pools are built for horizons ``1 .. max_horizon``, with
+        ``fit.n - max_horizon >= 3``.
+    primary_method, residual_method : str
+        One of :data:`SCORE_METHODS` for each score group; the same
+        methods used for the central forecasts.
+
+    Returns
+    -------
+    ErrorPool
     """
     _check_method(primary_method)
     _check_method(residual_method)
@@ -293,53 +274,6 @@ def build_error_pools(
     )
 
 
-def bootstrap_scores(central, pool, n_samples, rng_seed):
-    """Score draws: the central forecast plus resampled pool errors.
-
-    Draws are ``central + pool[i]`` with ``i`` uniform with replacement,
-    so shifting every pool entry by a constant shifts every draw by the
-    same constant.
-
-    Parameters
-    ----------
-    central : float
-        Central forecast for the target horizon.
-    pool : array_like
-        Nonempty error pool.
-    n_samples : int
-    rng_seed : int or numpy.random.SeedSequence
-
-    Returns
-    -------
-    ndarray
-        ``n_samples`` draws.
-    """
-    errors = np.asarray(pool, dtype=float)
-    if errors.ndim != 1 or errors.size == 0:
-        raise PoolError("error pool must be a nonempty vector")
-    b = int(n_samples)
-    if b < 1:
-        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(rng_seed)
-    return float(central) + errors[rng.integers(0, errors.size, b)]
-
-
-def bootstrap_residual_curves(final_residuals, n_samples, rng_seed):
-    """Whole-curve resample of the final residuals.
-
-    Each draw is one complete row, so the cross-age dependence of the
-    residuals is preserved.
-    """
-    residuals = np.asarray(final_residuals, dtype=float)
-    if residuals.ndim != 2 or residuals.shape[0] == 0:
-        raise PoolError("final residuals must be a nonempty matrix of curves")
-    b = int(n_samples)
-    if b < 1:
-        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(rng_seed)
-    return residuals[rng.integers(0, residuals.shape[0], b)]
-
-
 @dataclass(frozen=True)
 class BootstrapForecast:
     """Bootstrap forecast of one death-count curve.
@@ -369,6 +303,25 @@ def _check_levels(levels):
         if not 0.0 < level < 1.0:
             raise ConfigurationError(f"levels must lie strictly in (0, 1), got {level}")
     return out
+
+
+def _banded_forecast(fit, horizon, point, samples, levels, rng_seed):
+    """Wrap samples as a forecast whose bounds, for every level, are the
+    pointwise quantiles at ``(1 - level) / 2`` and ``1 - (1 - level) / 2``,
+    all taken in one pass over the samples."""
+    alphas = [(1.0 - level) / 2.0 for level in levels]
+    bounds = np.quantile(samples, alphas + [1.0 - a for a in alphas], axis=0)
+    return BootstrapForecast(
+        horizon=horizon,
+        grid=fit.grid,
+        radix=fit.radix,
+        point=point,
+        samples=samples,
+        levels=levels,
+        lower=dict(zip(levels, bounds[: len(levels)])),
+        upper=dict(zip(levels, bounds[len(levels) :])),
+        rng_seed=rng_seed,
+    )
 
 
 def assemble_forecast(
@@ -433,42 +386,24 @@ def assemble_forecast(
     clr_point = fit.mean_curve.copy()
     clr_samples = np.tile(fit.mean_curve, (b, 1))
 
-    for k in range(fit.n_primary):
-        central = _forecast_any_length(fit.primary_scores[:, k], primary_method, h)[-1]
-        pool = error_pool.primary_slice(h, k)
-        draws = central + pool[rng.integers(0, pool.size, b)]
-        clr_point += central * fit.primary_basis.functions[k]
-        clr_samples += np.outer(draws, fit.primary_basis.functions[k])
-
-    for k in range(fit.n_residual):
-        central = _forecast_any_length(fit.residual_scores[:, k], residual_method, h)[-1]
-        pool = error_pool.residual_slice(h, k)
-        draws = central + pool[rng.integers(0, pool.size, b)]
-        clr_point += central * fit.residual_basis.functions[k]
-        clr_samples += np.outer(draws, fit.residual_basis.functions[k])
+    groups = (
+        (fit.primary_scores, fit.primary_basis, error_pool.primary_slice, primary_method),
+        (fit.residual_scores, fit.residual_basis, error_pool.residual_slice, residual_method),
+    )
+    for scores, basis, pool_slice, method in groups:
+        for k in range(basis.n_components):
+            central = _forecast_any_length(scores[:, k], method, h)[-1]
+            pool = pool_slice(h, k)
+            draws = central + pool[rng.integers(0, pool.size, b)]
+            clr_point += central * basis.functions[k]
+            clr_samples += np.outer(draws, basis.functions[k])
 
     rows = rng.integers(0, fit.n, b)
     clr_samples += fit.final_residuals[rows]
 
     point = inverse_clr(clr_point, fit.grid, fit.radix)
     samples = inverse_clr(clr_samples, fit.grid, fit.radix)
-    lower = {}
-    upper = {}
-    for level in levels:
-        alpha = (1.0 - level) / 2.0
-        lower[level] = np.quantile(samples, alpha, axis=0)
-        upper[level] = np.quantile(samples, 1.0 - alpha, axis=0)
-    return BootstrapForecast(
-        horizon=h,
-        grid=fit.grid,
-        radix=fit.radix,
-        point=point,
-        samples=samples,
-        levels=levels,
-        lower=lower,
-        upper=upper,
-        rng_seed=rng_seed,
-    )
+    return _banded_forecast(fit, h, point, samples, levels, rng_seed)
 
 
 def bootstrap_forecast_path(

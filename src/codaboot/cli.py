@@ -21,15 +21,19 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .coda import clr, trapezoid_weights
-from .dfm import component_counts, fit_dfm
-from .bootstrap import SCORE_METHODS, bootstrap_forecast_path
+from .coda import clr
+from .bootstrap import SCORE_METHODS
 from .errors import CodabootError, ConfigurationError
-from .evaluation import BacktestPlan, MethodConfig, run_backtest
+from .evaluation import (
+    BacktestPlan,
+    MethodConfig,
+    fit_dfm_for,
+    forecast_dfm,
+    forecast_lc,
+    run_backtest,
+)
 from .fts import difference_series, functional_kpss_pvalue
-from .leecarter import RESAMPLE_MODES, fit_lc, lc_bootstrap_path
+from .leecarter import RESAMPLE_MODES
 from .lifetable import gini_coefficient, parse_lifetable, rebuild_deaths
 from .synthetic import make_synthetic_grid
 
@@ -84,6 +88,21 @@ class RunConfig:
             raise ConfigurationError("config file must name its subcommand")
         data["levels"] = tuple(float(l) for l in data.get("levels", (0.8, 0.95)))
         return cls(**data)
+
+
+def _method_config(config):
+    """The one conversion of run settings into the method they describe."""
+    return MethodConfig(
+        model=config.model,
+        components=config.components,
+        n_samples=config.replications,
+        primary_method=config.method,
+        bandwidth=config.bandwidth,
+        force_residual_stage=config.force_residual_stage,
+        independence_lags=config.lags,
+        independence_dim=config.dim,
+        lc_resample=config.lc_resample,
+    )
 
 
 def _parse_levels(text):
@@ -174,17 +193,8 @@ def _cmd_diagnose(config):
     decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
     rows.append(["stationarity_differenced", _format(stat), _format(pval), decision])
 
-    counts = component_counts(config.components)
-    fitted = fit_dfm(
-        series,
-        counts.r,
-        counts.residual,
-        bandwidth=config.bandwidth,
-        force_residual_stage=False,
-        independence_lags=config.lags,
-        independence_dim=config.dim,
-    )
-    outcome = fitted.independence
+    method = dataclasses.replace(_method_config(config), force_residual_stage=False)
+    outcome = fit_dfm_for(series, method).independence
     if outcome.degenerate:
         decision = "degenerate"
     elif outcome.dependent():
@@ -212,17 +222,7 @@ def _cmd_diagnose(config):
 
 def _cmd_fit(config):
     grid = _load_grid(config)
-    series = clr(grid)
-    counts = component_counts(config.components)
-    fitted = fit_dfm(
-        series,
-        counts.r,
-        counts.residual,
-        bandwidth=config.bandwidth,
-        force_residual_stage=config.force_residual_stage,
-        independence_lags=config.lags,
-        independence_dim=config.dim,
-    )
+    fitted = fit_dfm_for(clr(grid), _method_config(config))
     _write_config(config)
     out = config.out
 
@@ -285,43 +285,17 @@ def _cmd_fit(config):
     return 0
 
 
-def _forecasts_for(config, series):
-    counts = component_counts(config.components)
-    if config.model == "dfm":
-        fitted = fit_dfm(
-            series,
-            counts.r,
-            counts.residual,
-            bandwidth=config.bandwidth,
-            force_residual_stage=config.force_residual_stage,
-            independence_lags=config.lags,
-            independence_dim=config.dim,
-        )
-        return bootstrap_forecast_path(
-            fitted,
-            max_horizon=config.max_horizon,
-            n_samples=config.replications,
-            levels=config.levels,
-            rng_seed=config.seed,
-            primary_method=config.method,
-        )
-    if config.model == "lc":
-        fitted = fit_lc(series, n_components=counts.r)
-        return lc_bootstrap_path(
-            fitted,
-            max_horizon=config.max_horizon,
-            n_samples=config.replications,
-            levels=config.levels,
-            rng_seed=config.seed,
-            resample=config.lc_resample,
-        )
-    raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
-
-
 def _cmd_forecast(config):
     grid = _load_grid(config)
-    series = clr(grid)
-    forecasts = _forecasts_for(config, series)
+    if config.model == "dfm":
+        forecaster = forecast_dfm
+    elif config.model == "lc":
+        forecaster = forecast_lc
+    else:
+        raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
+    forecasts = forecaster(
+        clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
+    )
     _write_config(config)
 
     for forecast in forecasts:
@@ -362,20 +336,11 @@ def _cmd_backtest(config):
     initial = config.initial_window
     if initial is None:
         initial = grid.n_years - config.max_horizon
-    method = MethodConfig(
-        model=config.model,
-        components=config.components,
-        n_samples=config.replications,
-        primary_method=config.method,
-        bandwidth=config.bandwidth,
-        force_residual_stage=config.force_residual_stage,
-        lc_resample=config.lc_resample,
-    )
     plan = BacktestPlan(
         initial_window=initial,
         max_horizon=config.max_horizon,
         levels=config.levels,
-        configs=(method,),
+        configs=(_method_config(config),),
     )
     report = run_backtest(grid, plan, rng_seed=config.seed, n_jobs=config.jobs)
     _write_config(config)

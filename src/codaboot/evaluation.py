@@ -102,6 +102,10 @@ class MethodConfig:
     # Fixed-count experiments keep the residual stage on so the component
     # budget never depends on a test decision mid-backtest.
     force_residual_stage: bool = True
+    # Serial-independence test on the first-stage residuals, which decides
+    # whether the residual stage runs when it is not forced.
+    independence_lags: int = 5
+    independence_dim: int = 3
     lc_resample: str = "entries"
     label: str = ""
 
@@ -163,17 +167,24 @@ class BacktestReport:
     rows: tuple
 
 
-def _forecast_dfm(series, config, horizons, levels, rng_seed):
+def fit_dfm_for(series, config):
+    """Fit the two-stage factor model that a :class:`MethodConfig` describes."""
     counts = component_counts(config.components)
-    fitted = fit_dfm(
+    return fit_dfm(
         series,
         counts.r,
         counts.residual,
         bandwidth=config.bandwidth,
         force_residual_stage=config.force_residual_stage,
+        independence_lags=config.independence_lags,
+        independence_dim=config.independence_dim,
     )
+
+
+def forecast_dfm(series, config, horizons, levels, rng_seed):
+    """Per-horizon bootstrap forecasts of the factor model on one series."""
     return bootstrap_forecast_path(
-        fitted,
+        fit_dfm_for(series, config),
         max_horizon=horizons,
         n_samples=config.n_samples,
         levels=levels,
@@ -183,7 +194,8 @@ def _forecast_dfm(series, config, horizons, levels, rng_seed):
     )
 
 
-def _forecast_lc(series, config, horizons, levels, rng_seed):
+def forecast_lc(series, config, horizons, levels, rng_seed):
+    """Per-horizon bootstrap forecasts of the Lee-Carter baseline on one series."""
     counts = component_counts(config.components)
     fitted = fit_lc(series, n_components=counts.r)
     return lc_bootstrap_path(
@@ -200,8 +212,8 @@ def _forecast_lc(series, config, horizons, levels, rng_seed):
 # forecasts of one window.  Tests may register additional entries to
 # drive the harness with scripted bounds.
 MODEL_FORECASTERS = {
-    "dfm": _forecast_dfm,
-    "lc": _forecast_lc,
+    "dfm": forecast_dfm,
+    "lc": forecast_lc,
 }
 
 
@@ -219,7 +231,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
         Requires ``initial_window + max_horizon <= n_years``.
     rng_seed : int
     n_jobs : int
-        Worker threads for the window loop; 1 runs serially.
+        Worker threads for the window loop, at least 1; 1 runs serially.
 
     Returns
     -------
@@ -227,6 +239,8 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     """
     if not isinstance(grid, LifeTableGrid):
         raise DomainError("grid must be a LifeTableGrid")
+    if int(n_jobs) < 1:
+        raise ConfigurationError(f"n_jobs must be at least 1, got {n_jobs}")
     n = grid.n_years
     w0 = int(plan.initial_window)
     h_max = int(plan.max_horizon)

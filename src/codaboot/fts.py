@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .coda import ClrSeries, trapezoid_weights
 from .errors import (
@@ -472,7 +472,7 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
         quad = float(np.sum(c_lag**2 * np.outer(inv_var, inv_var)))
         statistic += quad * m**2 / (m - lag)
     df = eff**2 * lags
-    p_value = float(stats.chi2.sf(statistic, df))
+    p_value = float(special.chdtrc(df, statistic))
     return IndependenceResult(
         statistic=float(statistic),
         p_value=p_value,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coda import ClrSeries, inverse_clr
 from .errors import ConfigurationError, DomainError, RankError
-from .bootstrap import BootstrapForecast, _check_levels, _fit_ets
+from .bootstrap import _banded_forecast, _check_levels, _forecast_ets
 
 RESAMPLE_MODES = ("entries", "rows")
 
@@ -101,8 +101,7 @@ def fit_lc(series, n_components=1):
 def _extrapolate_scores(scores, horizons):
     out = np.empty((horizons, scores.shape[1]))
     for k in range(scores.shape[1]):
-        level, trend = _fit_ets(scores[:, k])
-        out[:, k] = level + trend * np.arange(1, horizons + 1)
+        out[:, k] = _forecast_ets(scores[:, k], horizons)
     return out
 
 
@@ -124,7 +123,8 @@ def lc_bootstrap_path(
     ``rng_seed`` is consumed replicate by replicate, and the residual
     draw does not depend on the horizon, so the replicates for horizon
     ``h`` are identical whichever ``max_horizon >= h`` they were produced
-    under.
+    under; the forecast for one horizon alone is the last element of the
+    path run to it.
 
     Returns
     -------
@@ -162,45 +162,14 @@ def lc_bootstrap_path(
     point_scores = _extrapolate_scores(fit.scores, h_max)
     clr_points = fit.mean_curve + point_scores @ fit.components
 
-    out = []
-    for h in range(1, h_max + 1):
-        samples = inverse_clr(clr_samples[h - 1], fit.grid, fit.radix)
-        point = inverse_clr(clr_points[h - 1], fit.grid, fit.radix)
-        lower = {}
-        upper = {}
-        for level in levels:
-            alpha = (1.0 - level) / 2.0
-            lower[level] = np.quantile(samples, alpha, axis=0)
-            upper[level] = np.quantile(samples, 1.0 - alpha, axis=0)
-        out.append(
-            BootstrapForecast(
-                horizon=h,
-                grid=fit.grid,
-                radix=fit.radix,
-                point=point,
-                samples=samples,
-                levels=levels,
-                lower=lower,
-                upper=upper,
-                rng_seed=rng_seed,
-            )
+    return [
+        _banded_forecast(
+            fit,
+            h,
+            inverse_clr(clr_points[h - 1], fit.grid, fit.radix),
+            inverse_clr(clr_samples[h - 1], fit.grid, fit.radix),
+            levels,
+            rng_seed,
         )
-    return out
-
-
-def lc_bootstrap_forecast(
-    fit, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0, resample="entries"
-):
-    """Bootstrap forecast of the baseline ``horizon`` steps ahead.
-
-    Equal to the last element of :func:`lc_bootstrap_path` run to the
-    same horizon with the same seed.
-    """
-    return lc_bootstrap_path(
-        fit,
-        max_horizon=horizon,
-        n_samples=n_samples,
-        levels=levels,
-        rng_seed=rng_seed,
-        resample=resample,
-    )[-1]
+        for h in range(1, h_max + 1)
+    ]

@@ -1,5 +1,8 @@
 """Score forecasters, error pools and bootstrap interval assembly."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,18 +14,14 @@ from codaboot import (
     PoolError,
     assemble_forecast,
     bootstrap_forecast_path,
-    build_error_pool,
     build_error_pools,
+    clr,
     fit_dfm,
     forecast_scores,
+    inverse_clr,
     trapezoid_weights,
 )
-from codaboot.bootstrap import (
-    _ETS_GRID,
-    _fit_ets,
-    bootstrap_residual_curves,
-    bootstrap_scores,
-)
+from codaboot.bootstrap import _ETS_GRID, _fit_ets, _forecast_any_length
 
 
 def test_random_walk_drift_hand_case():
@@ -92,32 +91,44 @@ def test_forecast_scores_validation():
         forecast_scores(np.zeros((5, 2)), "random_walk_drift", 1)
 
 
+def _single_series_fit(x):
+    """Stand-in fit with one primary score series and no residual stage."""
+    x = np.asarray(x, dtype=float)
+    return SimpleNamespace(
+        n=x.size, primary_scores=x[:, None], residual_scores=np.empty((x.size, 0))
+    )
+
+
 def test_error_pool_hand_case_on_squares():
     # x_t = t^2; under random-walk-with-drift every horizon-1 error is
     # t + 1 - (prefix drift), worked out by hand below.
     x = np.array([0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
+    pools = build_error_pools(_single_series_fit(x), 2)
     np.testing.assert_allclose(
-        build_error_pool(x, "random_walk_drift", 1), [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12
+        pools.primary_slice(1, 0), [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12
     )
-    np.testing.assert_allclose(
-        build_error_pool(x, "random_walk_drift", 2), [4.0, 6.0, 8.0, 10.0], atol=1e-12
-    )
+    np.testing.assert_allclose(pools.primary_slice(2, 0), [4.0, 6.0, 8.0, 10.0], atol=1e-12)
+    assert pools.residual[0].shape == (5, 0)
 
 
 def test_error_pool_sizes_and_validation():
-    x = np.arange(12.0)
+    fit = _single_series_fit(np.arange(12.0))
+    pools = build_error_pools(fit, 9)
     for h in range(1, 10):
-        assert build_error_pool(x, "random_walk_drift", h).size == 12 - h
+        assert pools.primary_slice(h, 0).size == 12 - h
     with pytest.raises(InsufficientDataError):
-        build_error_pool(x, "random_walk_drift", 10)
+        build_error_pools(fit, 10)
     with pytest.raises(DomainError):
-        build_error_pool(x, "random_walk_drift", 0)
+        build_error_pools(fit, 0)
+    with pytest.raises(ConfigurationError):
+        build_error_pools(fit, 1, primary_method="naive")
 
 
 def test_error_pool_is_zero_when_the_forecaster_is_exact():
     # A perfectly linear series is extrapolated exactly by the drift rule
     # from every prefix of length two or more.
-    pool = build_error_pool(np.arange(0.0, 20.0, 2.0), "random_walk_drift", 1)
+    pools = build_error_pools(_single_series_fit(np.arange(0.0, 20.0, 2.0)), 1)
+    pool = pools.primary_slice(1, 0)
     assert pool.size == 9
     np.testing.assert_allclose(pool[1:], 0.0, atol=1e-12)
     assert pool[0] == pytest.approx(2.0)  # length-one prefix forecasts flat
@@ -133,6 +144,15 @@ def _fixture_fit(seed=2, n=40, d=10, residual=1):
     return fit_dfm(series, n_primary=2, n_residual=residual, force_residual_stage=True)
 
 
+def _direct_pool(x, method, h):
+    """Horizon-h errors, refitting on the prefix that ends h steps before
+    each target."""
+    forecasts = [
+        _forecast_any_length(x[: t - h + 1], method, h)[-1] for t in range(h, x.size)
+    ]
+    return x[h:] - np.array(forecasts)
+
+
 def test_build_error_pools_matches_single_pools():
     fit = _fixture_fit()
     pools = build_error_pools(fit, 4)
@@ -140,37 +160,70 @@ def test_build_error_pools_matches_single_pools():
         for k in range(fit.n_primary):
             np.testing.assert_allclose(
                 pools.primary_slice(h, k),
-                build_error_pool(fit.primary_scores[:, k], "random_walk_drift", h),
+                _direct_pool(fit.primary_scores[:, k], "random_walk_drift", h),
                 atol=1e-12,
             )
         for k in range(fit.n_residual):
             np.testing.assert_allclose(
                 pools.residual_slice(h, k),
-                build_error_pool(fit.residual_scores[:, k], "ar_aic", h),
+                _direct_pool(fit.residual_scores[:, k], "ar_aic", h),
                 atol=1e-12,
             )
 
 
-def test_bootstrap_scores_shift_equivariance_and_determinism():
-    pool = np.array([-1.0, 0.5, 2.0, 4.0])
-    one = bootstrap_scores(10.0, pool, 200, rng_seed=5)
-    two = bootstrap_scores(10.0, pool, 200, rng_seed=5)
-    np.testing.assert_array_equal(one, two)
-    shifted = bootstrap_scores(10.0, pool + 3.0, 200, rng_seed=5)
-    np.testing.assert_allclose(shifted, one + 3.0, rtol=0, atol=1e-12)
-    assert set(np.round(one, 10)) <= set(np.round(10.0 + pool, 10))
-    with pytest.raises(PoolError):
-        bootstrap_scores(0.0, np.empty(0), 10, rng_seed=0)
+def test_assemble_forecast_shift_equivariance():
+    # Shifting every pool entry of one component by c shifts every
+    # replicate by c times that component's basis function in clr space.
+    fit = _fixture_fit()
+    pools = build_error_pools(fit, 2)
+    base = assemble_forecast(fit, horizon=2, n_samples=200, rng_seed=5, error_pool=pools)
+    base_clr = clr(base.samples, ages=fit.grid).values
+    c = 0.37
+    for group, basis, k in (
+        ("primary", fit.primary_basis, 1),
+        ("residual", fit.residual_basis, 0),
+    ):
+        shifted = [errors.copy() for errors in getattr(pools, group)]
+        for errors in shifted:
+            errors[:, k] += c
+        moved = assemble_forecast(
+            fit,
+            horizon=2,
+            n_samples=200,
+            rng_seed=5,
+            error_pool=dataclasses.replace(pools, **{group: tuple(shifted)}),
+        )
+        np.testing.assert_allclose(
+            clr(moved.samples, ages=fit.grid).values - base_clr,
+            np.tile(c * basis.functions[k], (200, 1)),
+            rtol=0,
+            atol=1e-9,
+        )
+        np.testing.assert_array_equal(moved.point, base.point)
 
 
-def test_bootstrap_residual_curves_draws_whole_rows():
-    residuals = np.arange(12.0).reshape(4, 3)
-    draws = bootstrap_residual_curves(residuals, 50, rng_seed=1)
-    assert draws.shape == (50, 3)
-    rows = {tuple(r) for r in residuals}
-    assert all(tuple(d) in rows for d in draws)
-    with pytest.raises(PoolError):
-        bootstrap_residual_curves(np.empty((0, 3)), 5, rng_seed=0)
+def test_assemble_forecast_replays_the_documented_draws():
+    # One generator, consumed as documented: one block of pool indices per
+    # primary component, one per residual component, then the indices of
+    # whole final-residual rows.
+    fit = _fixture_fit()
+    h, b = 2, 60
+    pools = build_error_pools(fit, h)
+    fc = assemble_forecast(fit, horizon=h, n_samples=b, rng_seed=4, error_pool=pools)
+    rng = np.random.default_rng(4)
+    expected = np.tile(fit.mean_curve, (b, 1))
+    for scores, basis, errors, method in (
+        (fit.primary_scores, fit.primary_basis, pools.primary[h - 1], "random_walk_drift"),
+        (fit.residual_scores, fit.residual_basis, pools.residual[h - 1], "ar_aic"),
+    ):
+        for k in range(basis.n_components):
+            central = _forecast_any_length(scores[:, k], method, h)[-1]
+            draws = central + errors[rng.integers(0, errors.shape[0], b), k]
+            expected += np.outer(draws, basis.functions[k])
+    expected += fit.final_residuals[rng.integers(0, fit.n, b)]
+    np.testing.assert_allclose(
+        fc.samples, inverse_clr(expected, fit.grid, fit.radix), rtol=1e-12, atol=0
+    )
 
 
 def test_assemble_forecast_shapes_and_determinism():

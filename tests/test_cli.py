@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from codaboot import gini_coefficient, make_synthetic_grid
+from codaboot import cli, gini_coefficient, make_synthetic_grid
 from codaboot.cli import main
 
 
@@ -235,6 +235,41 @@ def test_backtest_outputs_and_jobs_invariance(tmp_path):
     assert header == ["horizon", "windows", "ecp", "cpd"]
     assert [r[0] for r in rows] == ["1", "2"]
     assert [r[1] for r in rows] == ["6", "5"]
+
+
+_SMALL_BACKTEST = [
+    "backtest",
+    "--synthetic",
+    "26",
+    "--components",
+    "one",
+    "--initial-window",
+    "20",
+    "--max-horizon",
+    "1",
+    "--replications",
+    "10",
+]
+
+
+def test_backtest_method_carries_the_independence_settings(tmp_path, monkeypatch):
+    plans = []
+    run_backtest = cli.run_backtest
+
+    def spy(grid, plan, **kwargs):
+        plans.append(plan)
+        return run_backtest(grid, plan, **kwargs)
+
+    monkeypatch.setattr(cli, "run_backtest", spy)
+    args = _SMALL_BACKTEST + ["--lags", "2", "--dim", "1", "--out", str(tmp_path)]
+    assert main(args) == 0
+    (method,) = plans[0].configs
+    assert (method.independence_lags, method.independence_dim) == (2, 1)
+
+
+def test_backtest_rejects_zero_jobs(tmp_path, capsys):
+    assert main(_SMALL_BACKTEST + ["--jobs", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
 
 
 def test_config_json_is_stable_and_jobs_free(tmp_path):

@@ -226,3 +226,32 @@ def test_backtest_layout_validation():
         )
     with pytest.raises(DomainError):
         run_backtest(clr(grid), BacktestPlan(initial_window=25, max_horizon=2))
+
+
+def test_backtest_rejects_fewer_than_one_job():
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=4)
+    plan = BacktestPlan(
+        initial_window=25,
+        max_horizon=2,
+        configs=(MethodConfig(components="one", n_samples=10),),
+    )
+    with pytest.raises(ConfigurationError):
+        run_backtest(grid, plan, n_jobs=0)
+
+
+def test_backtest_passes_the_independence_settings_to_the_fit():
+    # With the residual stage left to the independence test, the lag
+    # count decides in some windows whether the stage runs, which moves
+    # the coverage.
+    grid = make_factor_grid(60, seed=0)
+    coverages = []
+    for lags in (1, 5):
+        method = MethodConfig(
+            components="one",
+            force_residual_stage=False,
+            independence_lags=lags,
+            independence_dim=1,
+        )
+        plan = BacktestPlan(initial_window=30, max_horizon=5, configs=(method,))
+        coverages.append(run_backtest(grid, plan).rows[0].ecp_by_horizon)
+    assert not np.array_equal(coverages[0], coverages[1])

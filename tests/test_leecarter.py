@@ -9,7 +9,6 @@ from codaboot import (
     DomainError,
     RankError,
     fit_lc,
-    lc_bootstrap_forecast,
     lc_bootstrap_path,
     trapezoid_weights,
 )
@@ -123,7 +122,7 @@ def test_bootstrap_replicates_follow_the_documented_recipe():
 def test_zero_residuals_collapse_the_bands():
     series = _rank1_series(seed=8, n=25)
     fit = fit_lc(series, n_components=1)
-    fc = lc_bootstrap_forecast(fit, horizon=2, n_samples=50, rng_seed=0)
+    fc = lc_bootstrap_path(fit, max_horizon=2, n_samples=50, rng_seed=0)[-1]
     np.testing.assert_allclose(fc.lower[0.8], fc.upper[0.8], rtol=0, atol=1e-8)
     np.testing.assert_allclose(fc.lower[0.8], fc.point, rtol=0, atol=1e-8)
 
@@ -139,8 +138,8 @@ def test_path_prefix_matches_shorter_path_and_single_horizon():
         np.testing.assert_array_equal(
             long_path[h - 1].samples, short_path[h - 1].samples
         )
-    single = lc_bootstrap_forecast(fit, horizon=3, n_samples=40, rng_seed=3)
-    np.testing.assert_array_equal(single.samples, short_path[2].samples)
+    single = lc_bootstrap_path(fit, max_horizon=1, n_samples=40, rng_seed=3)[-1]
+    np.testing.assert_array_equal(single.samples, long_path[0].samples)
 
 
 def test_samples_conserve_the_radix():
@@ -152,7 +151,7 @@ def test_samples_conserve_the_radix():
         radix=100000.0,
     )
     fit = fit_lc(series, n_components=2)
-    fc = lc_bootstrap_forecast(fit, horizon=2, n_samples=200, rng_seed=5)
+    fc = lc_bootstrap_path(fit, max_horizon=2, n_samples=200, rng_seed=5)[-1]
     w = trapezoid_weights(grid)
     np.testing.assert_allclose(fc.samples @ w, np.full(200, 100000.0), rtol=1e-10)
     assert np.all(fc.samples > 0.0)
@@ -170,10 +169,12 @@ def test_determinism_and_mode_separation():
         grid,
     )
     fit = fit_lc(series, n_components=1)
-    one = lc_bootstrap_forecast(fit, horizon=1, n_samples=60, rng_seed=4)
-    two = lc_bootstrap_forecast(fit, horizon=1, n_samples=60, rng_seed=4)
+    one = lc_bootstrap_path(fit, max_horizon=1, n_samples=60, rng_seed=4)[-1]
+    two = lc_bootstrap_path(fit, max_horizon=1, n_samples=60, rng_seed=4)[-1]
     np.testing.assert_array_equal(one.samples, two.samples)
-    rows = lc_bootstrap_forecast(fit, horizon=1, n_samples=60, rng_seed=4, resample="rows")
+    rows = lc_bootstrap_path(
+        fit, max_horizon=1, n_samples=60, rng_seed=4, resample="rows"
+    )[-1]
     assert not np.array_equal(one.samples, rows.samples)
 
 
