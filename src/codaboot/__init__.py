@@ -45,8 +45,6 @@ from .evaluation import (
     BacktestReport,
     BacktestRow,
     MethodConfig,
-    average_metrics,
-    cpd,
     ecp,
     run_backtest,
     series_prefix,

@@ -2,10 +2,12 @@
 
 Forecast uncertainty is propagated through three additive sources: the
 h-step-ahead forecast errors of the primary scores, the same for the
-residual-stage scores, and the final residual curves themselves.  Score
-errors come from in-sample pools: for horizon ``h`` the series is refit
-on every prefix ending ``h`` steps before an observed value, and the
-realised forecast errors form the pool.  A bootstrap replicate adds one
+residual-stage scores, and the final residual curves themselves.  Each
+score series is forecast once from every one of its prefixes.  The
+prefix ending ``h`` steps before an observed value gives one realised
+h-step error, and these errors form the in-sample pools; the whole
+series, its own longest prefix, gives the central forecasts.  Both are
+kept in one :class:`ErrorPool`.  A bootstrap replicate adds one
 resampled error to each central score forecast, resamples one whole
 residual curve, assembles the clr curve, and maps it back to death
 counts.  Pointwise empirical quantiles of the replicates give the
@@ -119,15 +121,7 @@ def _fit_ets(x):
         level = predicted + alphas * err
         trend = trend + alphas * betas * err
     best = int(np.argmin(sse))
-    level = x[0]
-    trend_v = x[1] - x[0]
-    a = alphas[best]
-    b = betas[best]
-    for t in range(1, m):
-        err = x[t] - (level + trend_v)
-        level = level + trend_v + a * err
-        trend_v = trend_v + a * b * err
-    return float(level), float(trend_v)
+    return float(level[best]), float(trend[best])
 
 
 def _forecast_ets(x, horizons):
@@ -135,21 +129,14 @@ def _forecast_ets(x, horizons):
     return level + trend * np.arange(1, horizons + 1)
 
 
+# Every forecaster takes a series of any length from 1: the error pools
+# forecast from each prefix, down to a single value, which all three
+# extrapolate flat.
 _FORECASTERS = {
     "random_walk_drift": _forecast_rw_drift,
     "ar_aic": _forecast_ar_aic,
     "ets_like": _forecast_ets,
 }
-
-
-def _forecast_any_length(x, method, horizons):
-    """Forecast a prefix of any length, degrading gracefully below the
-    public minimum: a single observation is extrapolated flat, and the
-    autoregressive order shrinks with the data."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 1:
-        return np.full(horizons, x[0])
-    return _FORECASTERS[method](x, horizons)
 
 
 def forecast_scores(score_series, method, horizons):
@@ -185,49 +172,43 @@ def forecast_scores(score_series, method, horizons):
     h = int(horizons)
     if h < 1:
         raise DomainError(f"horizons must be at least 1, got {horizons}")
-    return _forecast_any_length(x, method, h)
-
-
-def _prefix_forecast_table(x, method, max_horizon):
-    """Forecasts from every proper prefix: row ``i`` holds the
-    ``1 .. max_horizon`` step forecasts made from ``x[: i + 1]``."""
-    n = x.size
-    table = np.empty((n - 1, max_horizon))
-    for i in range(n - 1):
-        table[i] = _forecast_any_length(x[: i + 1], method, max_horizon)
-    return table
+    return _FORECASTERS[method](x, h)
 
 
 @dataclass(frozen=True)
 class ErrorPool:
-    """In-sample forecast-error pools for every horizon and component.
+    """In-sample forecast errors and central forecasts of every component.
 
     ``primary[h - 1]`` is an ``(n - h, r)`` array whose column ``k`` is
-    the horizon-``h`` pool of primary component ``k``; ``residual``
-    holds the same layout for the residual-stage components.
+    the horizon-``h`` pool of primary component ``k``.
+    ``primary_central[h - 1, k]`` is that component's central ``h``-step
+    forecast from its whole series, so the pools and the central
+    forecasts come from the same fits, made with ``primary_method``.
+    ``residual``, ``residual_central`` and ``residual_method`` hold the
+    same for the residual-stage components.
     """
 
     max_horizon: int
     primary: tuple
     residual: tuple
-
-    def primary_slice(self, horizon, component):
-        return self.primary[horizon - 1][:, component]
-
-    def residual_slice(self, horizon, component):
-        return self.residual[horizon - 1][:, component]
+    primary_central: np.ndarray
+    residual_central: np.ndarray
+    primary_method: str
+    residual_method: str
 
 
 def build_error_pools(
     fit, max_horizon, primary_method="random_walk_drift", residual_method="ar_aic"
 ):
-    """In-sample forecast-error pools of every component of a fit.
+    """Error pools and central forecasts of every component of a fit.
 
-    For horizon ``h`` and every target time ``t = h+1 .. n`` the
-    component's forecaster is refit on the prefix ending at ``t - h`` and
-    the realised error ``x_t - forecast`` enters the pool, so each pool
+    Each score series is forecast ``1 .. max_horizon`` steps ahead from
+    every one of its prefixes, once.  For horizon ``h`` and every target
+    time ``t = h+1 .. n`` the forecast from the prefix ending at
+    ``t - h`` gives the realised error ``x_t - forecast``, so each pool
     has exactly ``n - h`` entries, in time order, and never looks past the
-    data it forecasts.  Each prefix is refit only once for all horizons.
+    data it forecasts.  The forecasts from the whole series are the
+    central forecasts that :func:`assemble_forecast` perturbs.
 
     Parameters
     ----------
@@ -236,8 +217,7 @@ def build_error_pools(
         Pools are built for horizons ``1 .. max_horizon``, with
         ``fit.n - max_horizon >= 3``.
     primary_method, residual_method : str
-        One of :data:`SCORE_METHODS` for each score group; the same
-        methods used for the central forecasts.
+        One of :data:`SCORE_METHODS` for each score group.
 
     Returns
     -------
@@ -255,22 +235,28 @@ def build_error_pools(
         )
 
     def pools_for(scores, method):
+        # table[j, i] holds the 1 .. h_max step forecasts of component j
+        # from its first i + 1 scores; row n - 1 is the whole series.
         k = scores.shape[1]
-        tables = [
-            _prefix_forecast_table(scores[:, j], method, h_max) for j in range(k)
-        ]
-        out = []
-        for h in range(1, h_max + 1):
-            errors = np.empty((n - h, k))
-            for j in range(k):
-                errors[:, j] = scores[h:, j] - tables[j][: n - h, h - 1]
-            out.append(errors)
-        return tuple(out)
+        table = np.empty((k, n, h_max))
+        for j in range(k):
+            for i in range(n):
+                table[j, i] = _FORECASTERS[method](scores[: i + 1, j], h_max)
+        errors = tuple(
+            scores[h:] - table[:, : n - h, h - 1].T for h in range(1, h_max + 1)
+        )
+        return errors, table[:, -1].T
 
+    primary, primary_central = pools_for(fit.primary_scores, primary_method)
+    residual, residual_central = pools_for(fit.residual_scores, residual_method)
     return ErrorPool(
         max_horizon=h_max,
-        primary=pools_for(fit.primary_scores, primary_method),
-        residual=pools_for(fit.residual_scores, residual_method),
+        primary=primary,
+        residual=residual,
+        primary_central=primary_central,
+        residual_central=residual_central,
+        primary_method=primary_method,
+        residual_method=residual_method,
     )
 
 
@@ -299,6 +285,8 @@ def _check_levels(levels):
     out = tuple(float(l) for l in levels)
     if not out:
         raise ConfigurationError("at least one nominal level is required")
+    if len(set(out)) != len(out):
+        raise ConfigurationError(f"levels must be distinct, got {out}")
     for level in out:
         if not 0.0 < level < 1.0:
             raise ConfigurationError(f"levels must lie strictly in (0, 1), got {level}")
@@ -336,9 +324,11 @@ def assemble_forecast(
 ):
     """Assemble the bootstrap forecast of the curve ``horizon`` steps ahead.
 
-    One generator seeded from ``rng_seed`` drives all draws in the order
-    documented in the module docstring, so a given ``(fit, horizon,
-    n_samples, rng_seed)`` always yields the same replicates.
+    The central score forecasts and the errors added to them both come
+    from the error pool; nothing is refit here.  One generator seeded
+    from ``rng_seed`` drives all draws in the order documented in the
+    module docstring, so a given ``(fit, horizon, n_samples, rng_seed)``
+    always yields the same replicates.
 
     Parameters
     ----------
@@ -353,8 +343,9 @@ def assemble_forecast(
     primary_method, residual_method : str
         Forecasters for the two score groups.
     error_pool : ErrorPool, optional
-        Reuse pools built by :func:`build_error_pools`; they must cover
-        ``horizon``.
+        Reuse pools that :func:`build_error_pools` built from this fit;
+        they must cover ``horizon`` and use the same two methods.
+        Built here when omitted.
 
     Returns
     -------
@@ -381,21 +372,26 @@ def assemble_forecast(
         raise PoolError(
             f"error pool covers horizons up to {error_pool.max_horizon}, need {h}"
         )
+    built = (error_pool.primary_method, error_pool.residual_method)
+    if built != (primary_method, residual_method):
+        raise PoolError(
+            f"error pool was built with methods {built},"
+            f" not {(primary_method, residual_method)}"
+        )
 
     rng = np.random.default_rng(rng_seed)
     clr_point = fit.mean_curve.copy()
     clr_samples = np.tile(fit.mean_curve, (b, 1))
 
     groups = (
-        (fit.primary_scores, fit.primary_basis, error_pool.primary_slice, primary_method),
-        (fit.residual_scores, fit.residual_basis, error_pool.residual_slice, residual_method),
+        (fit.primary_basis, error_pool.primary, error_pool.primary_central),
+        (fit.residual_basis, error_pool.residual, error_pool.residual_central),
     )
-    for scores, basis, pool_slice, method in groups:
+    for basis, errors, central in groups:
         for k in range(basis.n_components):
-            central = _forecast_any_length(scores[:, k], method, h)[-1]
-            pool = pool_slice(h, k)
-            draws = central + pool[rng.integers(0, pool.size, b)]
-            clr_point += central * basis.functions[k]
+            pool = errors[h - 1][:, k]
+            draws = central[h - 1, k] + pool[rng.integers(0, pool.size, b)]
+            clr_point += central[h - 1, k] * basis.functions[k]
             clr_samples += np.outer(draws, basis.functions[k])
 
     rows = rng.integers(0, fit.n, b)
@@ -417,8 +413,8 @@ def bootstrap_forecast_path(
 ):
     """Bootstrap forecasts for every horizon ``1 .. max_horizon``.
 
-    Error pools are built once and shared; each horizon receives its own
-    child of ``rng_seed`` (children are spawned in horizon order), so the
+    One error pool, with the central forecasts, is built for the whole
+    path and shared; each horizon receives its own child of ``rng_seed`` (children are spawned in horizon order), so the
     path is reproducible as a whole and per horizon.
 
     Returns

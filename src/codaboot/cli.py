@@ -22,7 +22,7 @@ import os
 import sys
 
 from .coda import clr
-from .bootstrap import SCORE_METHODS
+from .bootstrap import SCORE_METHODS, _check_levels
 from .errors import CodabootError, ConfigurationError
 from .evaluation import (
     BacktestPlan,
@@ -109,17 +109,13 @@ def _parse_levels(text):
     levels = []
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            continue
-        value = float(token)
-        if value > 1.0:
-            value /= 100.0
-        if not 0.0 < value < 1.0:
-            raise ConfigurationError(f"level {token} is outside (0, 1)")
-        levels.append(value)
-    if not levels:
-        raise ConfigurationError("at least one level is required")
-    return tuple(levels)
+        if token:
+            try:
+                value = float(token)
+            except ValueError:
+                raise ConfigurationError(f"level {token!r} is not a number") from None
+            levels.append(value / 100.0 if value > 1.0 else value)
+    return _check_levels(levels)
 
 
 def _format(value):
@@ -494,18 +490,13 @@ def _config_from_args(args, parser):
         parser.error("--input and --synthetic are mutually exclusive")
 
     values = vars(args)
-    fields = {}
-    for field in dataclasses.fields(RunConfig):
-        if field.name in values and values[field.name] is not None:
-            fields[field.name] = values[field.name]
-        elif field.name in values:
-            fields[field.name] = None
-    if "levels" in values and values["levels"] is not None:
-        fields["levels"] = _parse_levels(values["levels"])
-    elif "levels" in fields:
-        del fields["levels"]
-    if fields.get("jobs") is None:
-        fields.pop("jobs", None)
+    fields = {
+        field.name: values[field.name]
+        for field in dataclasses.fields(RunConfig)
+        if values.get(field.name) is not None
+    }
+    if "levels" in fields:
+        fields["levels"] = _parse_levels(fields["levels"])
     return RunConfig(**fields)
 
 

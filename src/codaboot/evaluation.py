@@ -21,7 +21,7 @@ import numpy as np
 
 from .coda import ClrSeries, clr
 from .dfm import component_counts, fit_dfm
-from .bootstrap import bootstrap_forecast_path
+from .bootstrap import _check_levels, bootstrap_forecast_path
 from .errors import ConfigurationError, DomainError, ShapeError
 from .leecarter import fit_lc, lc_bootstrap_path
 from .lifetable import LifeTableGrid
@@ -65,28 +65,6 @@ def ecp(holdouts, lowers, uppers, horizon, max_horizon):
         )
     misses = int(np.sum(d > up)) + int(np.sum(d < lo))
     return 1.0 - misses / d.size
-
-
-def cpd(ecp_value, nominal):
-    """Absolute difference between achieved and nominal coverage."""
-    e = float(ecp_value)
-    c = float(nominal)
-    if not 0.0 <= e <= 1.0 or not 0.0 <= c <= 1.0:
-        raise DomainError("coverage values must lie in [0, 1]")
-    return abs(e - c)
-
-
-def average_metrics(ecp_values, nominal):
-    """Across-horizon mean ECP and mean CPD.
-
-    The mean CPD always dominates the deviation of the mean ECP:
-    ``mean |e_h - c| >= |mean e_h - c|``.
-    """
-    values = np.asarray(ecp_values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise DomainError("need a nonempty vector of per-horizon coverages")
-    deviations = [cpd(e, nominal) for e in values]
-    return float(values.mean()), float(np.mean(deviations))
 
 
 @dataclass(frozen=True)
@@ -135,11 +113,7 @@ class BacktestPlan:
             )
         if not self.configs:
             raise ConfigurationError("plan needs at least one method config")
-        for level in self.levels:
-            if not 0.0 < float(level) < 1.0:
-                raise ConfigurationError(
-                    f"levels must lie strictly in (0, 1), got {level}"
-                )
+        object.__setattr__(self, "levels", _check_levels(self.levels))
 
 
 @dataclass(frozen=True)
@@ -296,7 +270,6 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     rows = []
     for ci, config in enumerate(plan.configs):
         for level in plan.levels:
-            level = float(level)
             ecp_by_h = np.empty(h_max)
             counts = np.empty(h_max, dtype=int)
             for h in range(1, h_max + 1):
@@ -317,7 +290,6 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
                     np.array(holdouts), np.array(lowers), np.array(uppers), h, n - w0
                 )
             cpd_by_h = np.abs(ecp_by_h - level)
-            ecp_bar, cpd_bar = average_metrics(ecp_by_h, level)
             rows.append(
                 BacktestRow(
                     label=config.resolved_label(),
@@ -328,8 +300,8 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
                     window_counts=counts,
                     ecp_by_horizon=ecp_by_h,
                     cpd_by_horizon=cpd_by_h,
-                    ecp_bar=ecp_bar,
-                    cpd_bar=cpd_bar,
+                    ecp_bar=float(ecp_by_h.mean()),
+                    cpd_bar=float(cpd_by_h.mean()),
                 )
             )
     return BacktestReport(plan=plan, n_years=n, rows=tuple(rows))

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codaboot import (
     ClrSeries,
@@ -21,7 +24,7 @@ from codaboot import (
     inverse_clr,
     trapezoid_weights,
 )
-from codaboot.bootstrap import _ETS_GRID, _fit_ets, _forecast_any_length
+from codaboot.bootstrap import _ETS_GRID, _FORECASTERS, SCORE_METHODS, _fit_ets
 
 
 def test_random_walk_drift_hand_case():
@@ -53,6 +56,49 @@ def test_ets_matches_scalar_grid_search():
     level, trend = _fit_ets(y)
     assert level == pytest.approx(best[1], abs=1e-12)
     assert trend == pytest.approx(best[2], abs=1e-12)
+
+
+def _two_pass_ets(x):
+    """The ETS fit written as a grid pass that only picks the parameters,
+    followed by a scalar replay of the recursion with the chosen pair."""
+    if x.size == 1:
+        return float(x[0]), 0.0
+    alphas, betas = np.meshgrid(_ETS_GRID, _ETS_GRID, indexing="ij")
+    alphas = alphas.ravel()
+    betas = betas.ravel()
+    level = np.full(alphas.size, x[0])
+    trend = np.full(alphas.size, x[1] - x[0])
+    sse = np.zeros(alphas.size)
+    for t in range(1, x.size):
+        predicted = level + trend
+        err = x[t] - predicted
+        sse += err**2
+        level = predicted + alphas * err
+        trend = trend + alphas * betas * err
+    best = int(np.argmin(sse))
+    level_v = x[0]
+    trend_v = x[1] - x[0]
+    a = alphas[best]
+    b = betas[best]
+    for t in range(1, x.size):
+        err = x[t] - (level_v + trend_v)
+        level_v = level_v + trend_v + a * err
+        trend_v = trend_v + a * b * err
+    return float(level_v), float(trend_v)
+
+
+def _finite_series(min_size, max_size):
+    return arrays(
+        np.float64,
+        st.integers(min_size, max_size),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_finite_series(1, 80))
+def test_ets_fit_matches_the_two_pass_replay_bit_for_bit(x):
+    assert _fit_ets(x) == _two_pass_ets(x)
 
 
 def test_ar_forecasts_revert_to_the_mean_geometrically():
@@ -104,10 +150,10 @@ def test_error_pool_hand_case_on_squares():
     # t + 1 - (prefix drift), worked out by hand below.
     x = np.array([0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
     pools = build_error_pools(_single_series_fit(x), 2)
-    np.testing.assert_allclose(
-        pools.primary_slice(1, 0), [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12
-    )
-    np.testing.assert_allclose(pools.primary_slice(2, 0), [4.0, 6.0, 8.0, 10.0], atol=1e-12)
+    np.testing.assert_allclose(pools.primary[0][:, 0], [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(pools.primary[1][:, 0], [4.0, 6.0, 8.0, 10.0], atol=1e-12)
+    # The whole series continues with drift 25 / 5 = 5.
+    np.testing.assert_allclose(pools.primary_central[:, 0], [30.0, 35.0], atol=1e-12)
     assert pools.residual[0].shape == (5, 0)
 
 
@@ -115,7 +161,8 @@ def test_error_pool_sizes_and_validation():
     fit = _single_series_fit(np.arange(12.0))
     pools = build_error_pools(fit, 9)
     for h in range(1, 10):
-        assert pools.primary_slice(h, 0).size == 12 - h
+        assert pools.primary[h - 1].shape == (12 - h, 1)
+    assert pools.primary_central.shape == (9, 1)
     with pytest.raises(InsufficientDataError):
         build_error_pools(fit, 10)
     with pytest.raises(DomainError):
@@ -128,10 +175,25 @@ def test_error_pool_is_zero_when_the_forecaster_is_exact():
     # A perfectly linear series is extrapolated exactly by the drift rule
     # from every prefix of length two or more.
     pools = build_error_pools(_single_series_fit(np.arange(0.0, 20.0, 2.0)), 1)
-    pool = pools.primary_slice(1, 0)
+    pool = pools.primary[0][:, 0]
     assert pool.size == 9
     np.testing.assert_allclose(pool[1:], 0.0, atol=1e-12)
     assert pool[0] == pytest.approx(2.0)  # length-one prefix forecasts flat
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=_finite_series(5, 80), method=st.sampled_from(SCORE_METHODS), data=st.data())
+def test_pools_and_central_forecasts_come_from_the_prefix_forecasts(x, method, data):
+    h_max = data.draw(st.integers(1, min(4, x.size - 3)), label="max_horizon")
+    pools = build_error_pools(_single_series_fit(x), h_max, primary_method=method)
+    np.testing.assert_array_equal(
+        pools.primary_central[:, 0], forecast_scores(x, method, h_max)
+    )
+    for h in range(1, h_max + 1):
+        expected = [
+            x[t] - _FORECASTERS[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
+        ]
+        np.testing.assert_array_equal(pools.primary[h - 1][:, 0], expected)
 
 
 def _fixture_fit(seed=2, n=40, d=10, residual=1):
@@ -148,7 +210,7 @@ def _direct_pool(x, method, h):
     """Horizon-h errors, refitting on the prefix that ends h steps before
     each target."""
     forecasts = [
-        _forecast_any_length(x[: t - h + 1], method, h)[-1] for t in range(h, x.size)
+        _FORECASTERS[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
     ]
     return x[h:] - np.array(forecasts)
 
@@ -159,13 +221,13 @@ def test_build_error_pools_matches_single_pools():
     for h in range(1, 5):
         for k in range(fit.n_primary):
             np.testing.assert_allclose(
-                pools.primary_slice(h, k),
+                pools.primary[h - 1][:, k],
                 _direct_pool(fit.primary_scores[:, k], "random_walk_drift", h),
                 atol=1e-12,
             )
         for k in range(fit.n_residual):
             np.testing.assert_allclose(
-                pools.residual_slice(h, k),
+                pools.residual[h - 1][:, k],
                 _direct_pool(fit.residual_scores[:, k], "ar_aic", h),
                 atol=1e-12,
             )
@@ -217,7 +279,7 @@ def test_assemble_forecast_replays_the_documented_draws():
         (fit.residual_scores, fit.residual_basis, pools.residual[h - 1], "ar_aic"),
     ):
         for k in range(basis.n_components):
-            central = _forecast_any_length(scores[:, k], method, h)[-1]
+            central = forecast_scores(scores[:, k], method, h)[-1]
             draws = central + errors[rng.integers(0, errors.shape[0], b), k]
             expected += np.outer(draws, basis.functions[k])
     expected += fit.final_residuals[rng.integers(0, fit.n, b)]
@@ -278,10 +340,26 @@ def test_assemble_forecast_validation():
     with pytest.raises(ConfigurationError):
         assemble_forecast(fit, horizon=1, n_samples=10, levels=(1.2,))
     with pytest.raises(ConfigurationError):
+        assemble_forecast(fit, horizon=1, n_samples=10, levels=(0.8, 0.8))
+    with pytest.raises(ConfigurationError):
         assemble_forecast(fit, horizon=1, n_samples=10, primary_method="naive")
     pools = build_error_pools(fit, 2)
     with pytest.raises(PoolError):
         assemble_forecast(fit, horizon=3, n_samples=10, error_pool=pools)
+
+
+def test_assemble_forecast_rejects_a_pool_built_with_other_methods():
+    # The central forecasts live in the pool, so a pool built with other
+    # methods would pair one method's forecasts with another's errors.
+    fit = _fixture_fit()
+    for methods in (
+        {"primary_method": "ets_like"},
+        {"residual_method": "random_walk_drift"},
+    ):
+        pools = build_error_pools(fit, 2, **methods)
+        with pytest.raises(PoolError):
+            assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools)
+        assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools, **methods)
 
 
 def test_path_shares_pools_and_spawned_seeds():

@@ -354,3 +354,13 @@ def test_levels_accept_fractions_and_percentages(tmp_path):
     main(base + ["--levels", "80", "--out", str(a)])
     main(base + ["--levels", "0.8", "--out", str(b)])
     _same_files(a, b, ["forecast_h01.csv"])
+
+
+def test_levels_reject_duplicates_and_non_numbers(tmp_path, capsys):
+    # 80 percent and 0.8 are the same level once converted.
+    args = ["forecast", "--synthetic", "25", "--out", str(tmp_path)]
+    assert main(args + ["--levels", "80,0.8"]) == 1
+    assert "error kind=ConfigurationError:" in capsys.readouterr().err
+    assert main(args + ["--levels", "80,abc"]) == 1
+    assert "error kind=ConfigurationError:" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)

@@ -11,8 +11,6 @@ from codaboot import (
     DomainError,
     MethodConfig,
     ShapeError,
-    average_metrics,
-    cpd,
     ecp,
     make_factor_grid,
     run_backtest,
@@ -68,25 +66,6 @@ def test_ecp_validates_window_count_and_shapes():
         ecp(block, block, block, 5, 4)
 
 
-def test_cpd_and_averages():
-    assert cpd(0.85, 0.8) == pytest.approx(0.05)
-    assert cpd(0.8, 0.8) == 0.0
-    with pytest.raises(DomainError):
-        cpd(1.2, 0.8)
-    assert average_metrics([0.7, 0.9, 0.7, 0.9], 0.8) == pytest.approx((0.8, 0.1))
-    with pytest.raises(DomainError):
-        average_metrics([], 0.8)
-
-
-def test_mean_cpd_dominates_mean_ecp_deviation():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        values = rng.uniform(0.0, 1.0, size=rng.integers(1, 20))
-        nominal = float(rng.uniform(0.05, 0.95))
-        ecp_bar, cpd_bar = average_metrics(values, nominal)
-        assert cpd_bar >= abs(ecp_bar - nominal) - 1e-12
-
-
 def test_method_config_labels():
     assert MethodConfig().resolved_label() == "dfm-six"
     assert MethodConfig(model="lc", components="one").resolved_label() == "lc-one"
@@ -100,6 +79,11 @@ def test_plan_validation():
         BacktestPlan(initial_window=20, max_horizon=0)
     with pytest.raises(ConfigurationError):
         BacktestPlan(initial_window=20, levels=(1.0,))
+    with pytest.raises(ConfigurationError):
+        BacktestPlan(initial_window=20, levels=(0.8, 0.8))
+    with pytest.raises(ConfigurationError):
+        BacktestPlan(initial_window=20, levels=())
+    assert BacktestPlan(initial_window=20, levels=[0.8, 0.95]).levels == (0.8, 0.95)
     with pytest.raises(ConfigurationError):
         BacktestPlan(initial_window=20, configs=())
 
@@ -120,35 +104,99 @@ class _ScriptedForecast:
     upper: dict
 
 
-def _install_stub(record, lo=-np.inf, up=np.inf):
+def _run_scripted(grid, plan, bands, rng_seed=0):
+    """Backtest a "scripted" model whose horizon-h band at every age is
+    ``bands(rng, d, h)``, drawn in horizon order from a generator seeded
+    by the window's seed.  Returns the report and the ``(window length,
+    horizons)`` of every forecaster call."""
+    record = []
+
     def stub(series, config, horizons, levels, rng_seed):
         record.append((series.n, horizons))
+        rng = np.random.default_rng(rng_seed)
         d = series.grid.size
-        return [
-            _ScriptedForecast(
-                lower={float(l): np.full(d, lo) for l in levels},
-                upper={float(l): np.full(d, up) for l in levels},
+        out = []
+        for h in range(1, horizons + 1):
+            lo, up = bands(rng, d, h)
+            out.append(
+                _ScriptedForecast(
+                    lower={l: lo for l in levels}, upper={l: up for l in levels}
+                )
             )
-            for _ in range(horizons)
-        ]
+        return out
 
     MODEL_FORECASTERS["scripted"] = stub
+    try:
+        return run_backtest(grid, plan, rng_seed=rng_seed), record
+    finally:
+        del MODEL_FORECASTERS["scripted"]
+
+
+def _constant_band(lo, up):
+    return lambda rng, d, h: (np.full(d, lo), np.full(d, up))
+
+
+def test_cpd_and_averages():
+    # Bands that cover every age at odd horizons and none at even ones
+    # give ECPs 1, 0, 1, 0: mean ECP 0.5 and mean CPD (0.2 + 0.8) / 2.
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
+
+    cover = _constant_band(-np.inf, np.inf)
+    miss = _constant_band(-2.0, -1.0)  # deaths are positive
+
+    def alternating(rng, d, h):
+        return (cover if h % 2 else miss)(rng, d, h)
+
+    plan = BacktestPlan(
+        initial_window=24,
+        max_horizon=4,
+        levels=(0.8,),
+        configs=(MethodConfig(model="scripted", components="one"),),
+    )
+    row = _run_scripted(grid, plan, alternating)[0].rows[0]
+    np.testing.assert_array_equal(row.ecp_by_horizon, [1.0, 0.0, 1.0, 0.0])
+    np.testing.assert_allclose(row.cpd_by_horizon, [0.2, 0.8, 0.2, 0.8], atol=1e-15)
+    np.testing.assert_array_equal(row.cpd_by_horizon, np.abs(row.ecp_by_horizon - 0.8))
+    assert row.ecp_bar == 0.5
+    assert row.cpd_bar == pytest.approx(0.5)
+
+
+def test_mean_cpd_dominates_mean_ecp_deviation():
+    # mean |e_h - c| >= |mean e_h - c| on every row, with random bands
+    # that cover a varying share of the holdouts.
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=5)
+    scale = float(grid.deaths.max())
+
+    def random_band(rng, d, h):
+        lo = rng.uniform(0.0, scale, d)
+        return lo, lo + rng.uniform(0.0, scale, d)
+
+    rng = np.random.default_rng(31)
+    for seed in range(20):
+        plan = BacktestPlan(
+            initial_window=20,
+            max_horizon=int(rng.integers(1, 11)),
+            levels=tuple(rng.uniform(0.05, 0.95, size=3)),
+            configs=(MethodConfig(model="scripted", components="one"),),
+        )
+        for row in _run_scripted(grid, plan, random_band, seed)[0].rows:
+            np.testing.assert_array_equal(
+                row.cpd_by_horizon, np.abs(row.ecp_by_horizon - row.level)
+            )
+            assert row.ecp_bar == float(np.mean(row.ecp_by_horizon))
+            assert row.cpd_bar == float(np.mean(row.cpd_by_horizon))
+            assert row.cpd_bar >= abs(row.ecp_bar - row.level) - 1e-12
 
 
 def test_backtest_window_schedule_and_counts():
     grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
-    record = []
-    _install_stub(record)
-    try:
-        plan = BacktestPlan(
-            initial_window=24,
-            max_horizon=5,
-            levels=(0.8,),
-            configs=(MethodConfig(model="scripted", components="one", label="inf"),),
-        )
-        report = run_backtest(grid, plan, rng_seed=0)
-    finally:
-        del MODEL_FORECASTERS["scripted"]
+    plan = BacktestPlan(
+        initial_window=24,
+        max_horizon=5,
+        levels=(0.8,),
+        configs=(MethodConfig(model="scripted", components="one", label="inf"),),
+    )
+    report, record = _run_scripted(grid, plan, _constant_band(-np.inf, np.inf))
 
     # Fits on windows 24..29; window w forecasts min(5, 30 - w) steps.
     assert record == [(w, min(5, 30 - w)) for w in range(24, 30)]
@@ -164,18 +212,14 @@ def test_backtest_window_schedule_and_counts():
 
 def test_backtest_empty_bounds_cover_nothing():
     grid = make_factor_grid(n_years=26, n_ages=5, seed=2)
-    record = []
-    _install_stub(record, lo=-2.0, up=-1.0)  # deaths are positive, always above
-    try:
-        plan = BacktestPlan(
-            initial_window=22,
-            max_horizon=2,
-            levels=(0.8, 0.95),
-            configs=(MethodConfig(model="scripted", components="one"),),
-        )
-        report = run_backtest(grid, plan, rng_seed=0)
-    finally:
-        del MODEL_FORECASTERS["scripted"]
+    plan = BacktestPlan(
+        initial_window=22,
+        max_horizon=2,
+        levels=(0.8, 0.95),
+        configs=(MethodConfig(model="scripted", components="one"),),
+    )
+    # Deaths are positive, so they always lie above these bands.
+    report, _ = _run_scripted(grid, plan, _constant_band(-2.0, -1.0))
     assert len(report.rows) == 2
     for row in report.rows:
         np.testing.assert_array_equal(row.ecp_by_horizon, np.zeros(2))
