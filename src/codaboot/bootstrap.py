@@ -21,6 +21,7 @@ order), one per residual component, then the residual-curve row indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,30 +99,57 @@ def _forecast_ar_aic(x, horizons):
     return out
 
 
-def _fit_ets(x):
-    """Least-squares additive-trend exponential smoothing.
+def _fit_ets_prefixes(x):
+    """Least-squares additive-trend exponential smoothing of every prefix.
 
-    Smoothing parameters are chosen by minimising the sum of squared
-    one-step errors over a fixed grid; ties resolve to the first grid
-    point, so the fit is deterministic.  Returns (level, trend).
+    ``x`` is an ``(s, m)`` stack of series.  Returns ``(level, trend)``,
+    each ``(s, m)``: column ``i`` is the fit of ``x[:, : i + 1]``.  For
+    each prefix the smoothing parameters minimise the sum of squared
+    one-step errors over a fixed grid, with ties resolved to the first
+    grid point, so the fit is deterministic.  Every prefix replays the
+    same recursion, so one pass over an ``(s, grid)`` state gives all of
+    them; each element goes through the same float operations as a fit
+    of that prefix alone, so the result does not depend on how many rows
+    or columns are fitted together.  A length-one prefix has trend 0.
     """
-    m = x.size
+    s, m = x.shape
+    out_level = np.empty((s, m))
+    out_trend = np.empty((s, m))
+    out_level[:, 0] = x[:, 0]
+    out_trend[:, 0] = 0.0
     if m == 1:
-        return float(x[0]), 0.0
+        return out_level, out_trend
     alphas, betas = np.meshgrid(_ETS_GRID, _ETS_GRID, indexing="ij")
     alphas = alphas.ravel()
-    betas = betas.ravel()
-    level = np.full(alphas.size, x[0])
-    trend = np.full(alphas.size, x[1] - x[0])
-    sse = np.zeros(alphas.size)
+    alpha_betas = alphas * betas.ravel()
+    shape = (s, alphas.size)
+    level = np.repeat(x[:, :1], alphas.size, axis=1)
+    trend = np.repeat(x[:, 1:2] - x[:, :1], alphas.size, axis=1)
+    sse = np.zeros(shape)
+    predicted = np.empty(shape)
+    err = np.empty(shape)
+    scratch = np.empty(shape)
+    rows = np.arange(s)
     for t in range(1, m):
-        predicted = level + trend
-        err = x[t] - predicted
-        sse += err**2
-        level = predicted + alphas * err
-        trend = trend + alphas * betas * err
-    best = int(np.argmin(sse))
-    return float(level[best]), float(trend[best])
+        np.add(level, trend, out=predicted)
+        np.subtract(x[:, t, None], predicted, out=err)
+        np.multiply(err, err, out=scratch)
+        sse += scratch
+        np.multiply(alphas, err, out=scratch)
+        np.add(predicted, scratch, out=level)
+        np.multiply(alpha_betas, err, out=scratch)
+        trend += scratch
+        best = sse.argmin(axis=1)
+        out_level[:, t] = level[rows, best]
+        out_trend[:, t] = trend[rows, best]
+    return out_level, out_trend
+
+
+def _fit_ets(x):
+    """Least-squares additive-trend exponential smoothing of one series;
+    returns its ``(level, trend)`` from :func:`_fit_ets_prefixes`."""
+    level, trend = _fit_ets_prefixes(x[None])
+    return float(level[0, -1]), float(trend[0, -1])
 
 
 def _forecast_ets(x, horizons):
@@ -136,6 +164,31 @@ _FORECASTERS = {
     "random_walk_drift": _forecast_rw_drift,
     "ar_aic": _forecast_ar_aic,
     "ets_like": _forecast_ets,
+}
+
+
+def _refit_every_prefix(scores, h_max, forecaster):
+    n, k = scores.shape
+    table = np.empty((k, n, h_max))
+    for j in range(k):
+        for i in range(n):
+            table[j, i] = forecaster(scores[: i + 1, j], h_max)
+    return table
+
+
+def _ets_every_prefix(scores, h_max):
+    level, trend = _fit_ets_prefixes(scores.T)
+    return level[..., None] + trend[..., None] * np.arange(1, h_max + 1)
+
+
+# Prefix forecast tables by method: ``table(scores, h_max)[j, i]`` holds
+# the ``1 .. h_max`` step forecasts of column ``j`` of the ``(n, k)``
+# ``scores`` from its first ``i + 1`` values, the same to the bit as
+# ``_FORECASTERS[method](scores[: i + 1, j], h_max)``.
+_PREFIX_TABLES = {
+    "random_walk_drift": partial(_refit_every_prefix, forecaster=_forecast_rw_drift),
+    "ar_aic": partial(_refit_every_prefix, forecaster=_forecast_ar_aic),
+    "ets_like": _ets_every_prefix,
 }
 
 
@@ -185,7 +238,9 @@ class ErrorPool:
     forecast from its whole series, so the pools and the central
     forecasts come from the same fits, made with ``primary_method``.
     ``residual``, ``residual_central`` and ``residual_method`` hold the
-    same for the residual-stage components.
+    same for the residual-stage components.  ``primary_scores`` and
+    ``residual_scores`` are the fit's score arrays the pool was built
+    from (references, not copies), so a pool can be matched to its fit.
     """
 
     max_horizon: int
@@ -195,6 +250,8 @@ class ErrorPool:
     residual_central: np.ndarray
     primary_method: str
     residual_method: str
+    primary_scores: np.ndarray
+    residual_scores: np.ndarray
 
 
 def build_error_pools(
@@ -203,12 +260,15 @@ def build_error_pools(
     """Error pools and central forecasts of every component of a fit.
 
     Each score series is forecast ``1 .. max_horizon`` steps ahead from
-    every one of its prefixes, once.  For horizon ``h`` and every target
-    time ``t = h+1 .. n`` the forecast from the prefix ending at
-    ``t - h`` gives the realised error ``x_t - forecast``, so each pool
-    has exactly ``n - h`` entries, in time order, and never looks past the
-    data it forecasts.  The forecasts from the whole series are the
-    central forecasts that :func:`assemble_forecast` perturbs.
+    every one of its prefixes, once.  For ``ets_like`` the whole table
+    comes from one pass of :func:`_fit_ets_prefixes` over all the score
+    series of a group; the other methods refit each prefix.  For horizon
+    ``h`` and every target time ``t = h+1 .. n`` the forecast from the
+    prefix ending at ``t - h`` gives the realised error
+    ``x_t - forecast``, so each pool has exactly ``n - h`` entries, in
+    time order, and never looks past the data it forecasts.  The
+    forecasts from the whole series are the central forecasts that
+    :func:`assemble_forecast` perturbs.
 
     Parameters
     ----------
@@ -237,11 +297,7 @@ def build_error_pools(
     def pools_for(scores, method):
         # table[j, i] holds the 1 .. h_max step forecasts of component j
         # from its first i + 1 scores; row n - 1 is the whole series.
-        k = scores.shape[1]
-        table = np.empty((k, n, h_max))
-        for j in range(k):
-            for i in range(n):
-                table[j, i] = _FORECASTERS[method](scores[: i + 1, j], h_max)
+        table = _PREFIX_TABLES[method](scores, h_max)
         errors = tuple(
             scores[h:] - table[:, : n - h, h - 1].T for h in range(1, h_max + 1)
         )
@@ -257,6 +313,8 @@ def build_error_pools(
         residual_central=residual_central,
         primary_method=primary_method,
         residual_method=residual_method,
+        primary_scores=fit.primary_scores,
+        residual_scores=fit.residual_scores,
     )
 
 
@@ -344,8 +402,9 @@ def assemble_forecast(
         Forecasters for the two score groups.
     error_pool : ErrorPool, optional
         Reuse pools that :func:`build_error_pools` built from this fit;
-        they must cover ``horizon`` and use the same two methods.
-        Built here when omitted.
+        they must come from score arrays equal to this fit's, cover
+        ``horizon`` and use the same two methods.  Built here when
+        omitted.
 
     Returns
     -------
@@ -372,6 +431,9 @@ def assemble_forecast(
         raise PoolError(
             f"error pool covers horizons up to {error_pool.max_horizon}, need {h}"
         )
+    for name in ("primary_scores", "residual_scores"):
+        if not np.array_equal(getattr(error_pool, name), getattr(fit, name)):
+            raise PoolError(f"error pool was not built from this fit's {name}")
     built = (error_pool.primary_method, error_pool.residual_method)
     if built != (primary_method, residual_method):
         raise PoolError(
@@ -414,8 +476,9 @@ def bootstrap_forecast_path(
     """Bootstrap forecasts for every horizon ``1 .. max_horizon``.
 
     One error pool, with the central forecasts, is built for the whole
-    path and shared; each horizon receives its own child of ``rng_seed`` (children are spawned in horizon order), so the
-    path is reproducible as a whole and per horizon.
+    path and shared.  Each horizon receives its own child of
+    ``rng_seed``, spawned in horizon order, so the path is reproducible
+    as a whole and per horizon.
 
     Returns
     -------

@@ -18,9 +18,14 @@ import numpy as np
 
 from .coda import ClrSeries, inverse_clr
 from .errors import ConfigurationError, DomainError, RankError
-from .bootstrap import _banded_forecast, _check_levels, _forecast_ets
+from .bootstrap import _banded_forecast, _check_levels, _fit_ets_prefixes
 
 RESAMPLE_MODES = ("entries", "rows")
+
+# Score series extrapolated per call of the ETS kernel in the replicate
+# loop: enough rows to amortise the per-step overhead of the grid
+# recursion while its state stays small.  Results do not depend on it.
+_BLOCK_SERIES = 48
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,20 @@ def fit_lc(series, n_components=1):
 
 
 def _extrapolate_scores(scores, horizons):
-    out = np.empty((horizons, scores.shape[1]))
-    for k in range(scores.shape[1]):
-        out[:, k] = _forecast_ets(scores[:, k], horizons)
-    return out
+    """ETS forecasts ``1 .. horizons`` steps ahead of every score series.
+
+    ``scores`` is a ``(..., n, k)`` stack of score matrices, one series
+    per column; the result is the ``(..., horizons, k)`` stack of their
+    forecasts.  All series of the stack are fitted in one call of
+    :func:`_fit_ets_prefixes`, and each forecast is the same to the bit
+    as extrapolating its series alone, so it does not depend on which
+    stack the series came in.
+    """
+    *lead, n, k = scores.shape
+    level, trend = _fit_ets_prefixes(np.swapaxes(scores, -1, -2).reshape(-1, n))
+    last = (*lead, 1, k)
+    steps = np.arange(1, horizons + 1)[:, None]
+    return level[:, -1].reshape(last) + trend[:, -1].reshape(last) * steps
 
 
 def lc_bootstrap_path(
@@ -124,7 +139,10 @@ def lc_bootstrap_path(
     draw does not depend on the horizon, so the replicates for horizon
     ``h`` are identical whichever ``max_horizon >= h`` they were produced
     under; the forecast for one horizon alone is the last element of the
-    path run to it.
+    path run to it.  Replicates are drawn and refit in RNG order and
+    their scores extrapolated together in blocks; every replicate is the
+    same to the bit as when extrapolated alone, so the result does not
+    depend on the block.
 
     Returns
     -------
@@ -149,15 +167,19 @@ def lc_bootstrap_path(
     rng = np.random.default_rng(rng_seed)
 
     clr_samples = np.empty((h_max, b, d))
-    for rep in range(b):
-        if resample == "entries":
-            draws = pooled[rng.integers(0, pooled.size, (n, d))]
-        else:
-            draws = fit.residuals[rng.integers(0, n, n)]
-        pseudo = fitted + draws
-        mean_curve, components, scores, _ = _decompose(pseudo, k)
-        future = _extrapolate_scores(scores, h_max)
-        clr_samples[:, rep, :] = mean_curve + future @ components
+    block = max(1, _BLOCK_SERIES // k)
+    for start in range(0, b, block):
+        reps = range(start, min(start + block, b))
+        refits = []
+        for _ in reps:
+            if resample == "entries":
+                draws = pooled[rng.integers(0, pooled.size, (n, d))]
+            else:
+                draws = fit.residuals[rng.integers(0, n, n)]
+            refits.append(_decompose(fitted + draws, k)[:3])
+        futures = _extrapolate_scores(np.stack([r[2] for r in refits]), h_max)
+        for rep, (mean_curve, components, _), future in zip(reps, refits, futures):
+            clr_samples[:, rep, :] = mean_curve + future @ components
 
     point_scores = _extrapolate_scores(fit.scores, h_max)
     clr_points = fit.mean_curve + point_scores @ fit.components

@@ -22,9 +22,16 @@ from codaboot import (
     fit_dfm,
     forecast_scores,
     inverse_clr,
+    make_factor_grid,
     trapezoid_weights,
 )
-from codaboot.bootstrap import _ETS_GRID, _FORECASTERS, SCORE_METHODS, _fit_ets
+from codaboot.bootstrap import (
+    _ETS_GRID,
+    _FORECASTERS,
+    SCORE_METHODS,
+    _fit_ets,
+    _fit_ets_prefixes,
+)
 
 
 def test_random_walk_drift_hand_case():
@@ -99,6 +106,22 @@ def _finite_series(min_size, max_size):
 @given(x=_finite_series(1, 80))
 def test_ets_fit_matches_the_two_pass_replay_bit_for_bit(x):
     assert _fit_ets(x) == _two_pass_ets(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 80)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    )
+)
+def test_ets_prefix_fits_match_the_two_pass_replay_bit_for_bit(x):
+    level, trend = _fit_ets_prefixes(x)
+    assert level.shape == trend.shape == x.shape
+    for j in range(x.shape[0]):
+        for i in range(x.shape[1]):
+            assert (level[j, i], trend[j, i]) == _two_pass_ets(x[j, : i + 1])
 
 
 def test_ar_forecasts_revert_to_the_mean_geometrically():
@@ -360,6 +383,34 @@ def test_assemble_forecast_rejects_a_pool_built_with_other_methods():
         with pytest.raises(PoolError):
             assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools)
         assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools, **methods)
+
+
+def _factor_fit(seed, n_primary=2):
+    series = clr(make_factor_grid(40, seed=seed))
+    return fit_dfm(series, n_primary=n_primary, n_residual=1, force_residual_stage=True)
+
+
+def test_assemble_forecast_rejects_a_pool_built_from_another_fit():
+    # The central forecasts live in the pool, so a pool from a fit on
+    # other data would silently move the point forecast.
+    fit = _factor_fit(seed=2)
+    pools = build_error_pools(_factor_fit(seed=1), 2)
+    with pytest.raises(PoolError, match="primary_scores"):
+        assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools)
+    # An equal but separate copy of the scores is the same fit.
+    copied = dataclasses.replace(
+        build_error_pools(fit, 2), primary_scores=fit.primary_scores.copy()
+    )
+    assemble_forecast(fit, horizon=1, n_samples=10, error_pool=copied)
+
+
+def test_assemble_forecast_rejects_a_pool_with_other_component_counts():
+    two, three = _factor_fit(seed=2), _factor_fit(seed=2, n_primary=3)
+    for fit, other in ((two, three), (three, two)):
+        with pytest.raises(PoolError, match="primary_scores"):
+            assemble_forecast(
+                fit, horizon=1, n_samples=10, error_pool=build_error_pools(other, 2)
+            )
 
 
 def test_path_shares_pools_and_spawned_seeds():

@@ -12,6 +12,7 @@ from codaboot import (
     lc_bootstrap_path,
     trapezoid_weights,
 )
+from codaboot import leecarter
 from codaboot.bootstrap import _fit_ets
 from codaboot.coda import inverse_clr
 
@@ -117,6 +118,33 @@ def test_bootstrap_replicates_follow_the_documented_recipe():
             np.testing.assert_allclose(
                 path[h - 1].samples[rep], expected, rtol=0, atol=1e-10
             )
+
+
+@pytest.mark.parametrize("resample", ["entries", "rows"])
+def test_path_does_not_depend_on_the_extrapolation_block(monkeypatch, resample):
+    rng = np.random.default_rng(17)
+    grid = np.arange(6.0)
+    series = _centred_series(
+        np.cumsum(rng.normal(size=(16, 6)), axis=0) + 0.2 * rng.normal(size=(16, 6)),
+        grid,
+    )
+    fit = fit_lc(series, n_components=2)
+    paths = []
+    # Blocks of 1 and 3 replicates (50 is not a multiple of 3) and one
+    # block holding all 50.
+    for block in (1, 3, 60):
+        monkeypatch.setattr(leecarter, "_BLOCK_SERIES", block * fit.n_components)
+        paths.append(
+            lc_bootstrap_path(
+                fit, max_horizon=3, n_samples=50, rng_seed=8, resample=resample
+            )
+        )
+    for other in paths[1:]:
+        for fc, ref in zip(other, paths[0]):
+            np.testing.assert_array_equal(fc.samples, ref.samples)
+            for level in ref.levels:
+                np.testing.assert_array_equal(fc.lower[level], ref.lower[level])
+                np.testing.assert_array_equal(fc.upper[level], ref.upper[level])
 
 
 def test_zero_residuals_collapse_the_bands():
