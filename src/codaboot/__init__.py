@@ -18,7 +18,6 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     InsufficientDataError,
-    LagRangeError,
     ParseError,
     PoolError,
     RankError,
@@ -31,10 +30,8 @@ from .fts import (
     IndependenceResult,
     bartlett_weight,
     difference_series,
-    empirical_autocov,
     fpca,
     functional_kpss_pvalue,
-    functional_kpss_statistic,
     independence_test,
     long_run_covariance,
     plugin_bandwidth,

@@ -31,6 +31,7 @@ from .fts import (
     independence_test,
     long_run_covariance,
     plugin_bandwidth,
+    project_scores,
 )
 
 
@@ -178,7 +179,6 @@ def fit_dfm(
     if r > d or q > d:
         raise RankError(f"component counts must not exceed the grid size {d}")
 
-    weights = series.weights
     differenced = difference_series(series)
     h = float(bandwidth) if bandwidth is not None else plugin_bandwidth(differenced)
     long_run = long_run_covariance(differenced, bandwidth=h)
@@ -186,7 +186,7 @@ def fit_dfm(
 
     mean_curve = series.values.mean(axis=0)
     centered = series.values - mean_curve
-    primary_scores = centered @ (primary_basis.functions * weights).T
+    primary_scores = project_scores(centered, primary_basis)
     first_residuals = centered - primary_scores @ primary_basis.functions
 
     independence = independence_test(
@@ -200,14 +200,14 @@ def fit_dfm(
     if run_stage:
         residual_long_run = long_run_covariance(first_residuals, grid=series.grid)
         residual_basis = fpca(residual_long_run, q)
-        residual_scores = first_residuals @ (residual_basis.functions * weights).T
+        residual_scores = project_scores(first_residuals, residual_basis)
         final_residuals = first_residuals - residual_scores @ residual_basis.functions
     else:
         residual_basis = EigenBasis(
             eigenvalues=np.empty(0),
             functions=np.empty((0, d)),
             grid=series.grid,
-            weights=weights,
+            weights=series.weights,
         )
         residual_scores = np.empty((n, 0))
         final_residuals = first_residuals

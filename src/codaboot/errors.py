@@ -38,10 +38,6 @@ class InsufficientDataError(CodabootError):
     """A series is too short for the requested operation."""
 
 
-class LagRangeError(CodabootError):
-    """A lag is too large in magnitude for the series length."""
-
-
 class RankError(CodabootError):
     """More components were requested than the data can support."""
 

@@ -2,10 +2,13 @@
 
 Everything here treats a curve as a vector sampled on a common age grid
 and replaces integrals by trapezoid quadrature on that grid.  The module
-provides lag covariances and the kernel long-run covariance estimator,
-functional principal components of a covariance surface, score
-projections, and two diagnostics: a stationarity statistic in the KPSS
-family and a portmanteau test of serial independence.
+provides the Bartlett-kernel long-run covariance estimator, functional
+principal components of a covariance surface, score projections, and two
+diagnostics: a permutation test of trend stationarity in the KPSS family
+and a portmanteau test of serial independence.  One lag product, with
+divisor ``m`` at every lag, serves the long-run covariance surface, the
+long-run variance of the stationarity statistic (its diagonal alone) and
+the lag covariances of the portmanteau scores.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     InsufficientDataError,
-    LagRangeError,
     RankError,
     ShapeError,
 )
@@ -130,40 +132,28 @@ def difference_series(series):
     )
 
 
-def empirical_autocov(series, lag, grid=None):
-    """Empirical lag covariance surface of a curve sequence.
+def _lag_product(centered, lag, diagonal=False):
+    # (1/m) sum_{s=1}^{m-lag} x_s x_{s+lag}^T over the m rows of a centred
+    # sequence, divisor m at every lag; only its diagonal when asked.
+    m = centered.shape[0]
+    head, tail = centered[: m - lag], centered[lag:]
+    if diagonal:
+        return np.einsum("si,si->i", head, tail) / m
+    return head.T @ tail / m
 
-    For curves ``W_1 .. W_m`` with sample mean ``W_bar`` and ``lag >= 0``,
 
-        gamma_lag(u, v) = (1/m) * sum_{s=1}^{m-lag}
-                          (W_s(u) - W_bar(u)) (W_{s+lag}(v) - W_bar(v)),
-
-    with the divisor ``m`` regardless of the lag.  A negative lag returns
-    the transpose of the positive-lag surface.
-
-    Parameters
-    ----------
-    series : ClrSeries or array_like
-        Curve sequence; a bare array needs ``grid`` alongside unless the
-        default integer grid is acceptable.
-    lag : int
-        Any integer with ``abs(lag) < m``.
-
-    Returns
-    -------
-    CovSurface
-    """
-    values, g = _series_values(series, grid)
-    m = values.shape[0]
-    if abs(int(lag)) >= m:
-        raise LagRangeError(f"lag {lag} out of range for {m} curves")
-    lag = int(lag)
-    centered = values - values.mean(axis=0)
-    k = abs(lag)
-    cov = centered[: m - k].T @ centered[k:] / m
-    if lag < 0:
-        cov = cov.T
-    return CovSurface(grid=g, values=cov, weights=trapezoid_weights(g))
+def _bartlett_sum(centered, h, diagonal=False):
+    # sum_l W(l / h) gamma_l over l = -(m-1) .. m-1, with gamma_{-l} the
+    # transpose of gamma_l (a no-op on the diagonal); the kernel is zero
+    # from |l| >= h on.
+    total = _lag_product(centered, 0, diagonal)
+    for lag in range(1, centered.shape[0]):
+        weight = bartlett_weight(lag / h)
+        if weight == 0.0:
+            break
+        gamma = _lag_product(centered, lag, diagonal)
+        total = total + weight * (gamma + gamma.T)
+    return total
 
 
 def bartlett_weight(x):
@@ -216,15 +206,7 @@ def long_run_covariance(series, bandwidth=None, grid=None):
     if not np.isfinite(h) or h <= 0.0:
         raise DomainError(f"bandwidth must be positive, got {bandwidth}")
 
-    centered = values - values.mean(axis=0)
-    cov = centered.T @ centered / m
-    for lag in range(1, m):
-        weight = bartlett_weight(lag / h)
-        if weight == 0.0:
-            break
-        gamma = centered[: m - lag].T @ centered[lag:] / m
-        cov = cov + weight * (gamma + gamma.T)
-
+    cov = _bartlett_sum(values - values.mean(axis=0), h)
     cov = (cov + cov.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] < 0.0:
@@ -282,32 +264,27 @@ def fpca(surface, n_components):
     )
 
 
-def project_scores(series, basis, center=None, grid=None):
-    """Quadrature inner products of centred curves with basis functions.
+def project_scores(values, basis):
+    """Quadrature inner products of curves with basis functions.
 
     Parameters
     ----------
-    series : ClrSeries or array_like
-        Curves to project.
+    values : array_like
+        Curves of shape ``(n, D)`` on the basis grid, already centred by
+        the caller if centred scores are wanted.
     basis : EigenBasis
-    center : array_like, optional
-        Curve subtracted from every row before projecting; defaults to
-        zero.
 
     Returns
     -------
     ndarray
         Scores of shape ``(n, K)``; entry ``(t, k)`` is
-        ``<series_t - center, basis_k>``.
+        ``<values_t, basis_k>``.
     """
-    values, g = _series_values(series, grid)
-    if g.size != basis.grid.size or not np.allclose(g, basis.grid):
-        raise ShapeError("series grid does not match the basis grid")
-    if center is not None:
-        center = np.asarray(center, dtype=float)
-        if center.shape != (g.size,):
-            raise ShapeError(f"center must have shape {(g.size,)}, got {center.shape}")
-        values = values - center
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != basis.grid.size:
+        raise ShapeError(
+            f"curves have {values.shape[-1]} points, the basis grid {basis.grid.size}"
+        )
     return values @ (basis.functions * basis.weights).T
 
 
@@ -319,52 +296,48 @@ def _detrended(values):
     return values - design @ coef
 
 
-def _kpss_from_values(values, weights):
+def _kpss_from_values(values, weights, bandwidth):
     n = values.shape[0]
     resid = _detrended(values)
     partial = np.cumsum(resid, axis=0)
     numerator = float((partial**2 @ weights).sum()) / n**2
-    lrc = long_run_covariance(resid, grid=np.arange(values.shape[1], dtype=float))
-    denominator = float(np.diag(lrc.values) @ weights)
+    # Only the diagonal of the residuals' long-run covariance is read.  The
+    # Bartlett estimate is positive semi-definite (Newey and West, 1987),
+    # so the eigenvalue clipping in long_run_covariance moves that
+    # diagonal at rounding level only and is skipped here.
+    lrv = _bartlett_sum(resid - resid.mean(axis=0), bandwidth, diagonal=True)
+    denominator = float(lrv @ weights)
     if denominator <= 1e-14 * max(1.0, numerator):
         return 0.0 if numerator <= 1e-14 else np.inf
     return numerator / denominator
 
 
-def functional_kpss_statistic(series):
-    """Stationarity statistic for a curve time series.
+def functional_kpss_pvalue(series, n_permutations=199, seed=0):
+    """Stationarity statistic of a curve series and its permutation p-value.
 
     Each age is demeaned and detrended against a linear time trend; the
     statistic is the quadrature integral of the squared partial-sum
     process of the residual curves, scaled by ``n^-2`` and divided by the
-    total long-run variance of the residuals.  Values stay moderate for
-    trend-stationary series and grow without bound along integrated ones,
-    so it is meant to be compared across series or against a Monte Carlo
-    reference rather than against tabulated critical values (see
-    :func:`functional_kpss_pvalue`).
-
-    Parameters
-    ----------
-    series : ClrSeries
-        At least 10 curves.
-
-    Returns
-    -------
-    float
-    """
-    if series.n < 10:
-        raise InsufficientDataError(f"need at least 10 curves, got {series.n}")
-    return _kpss_from_values(series.values, series.weights)
-
-
-def functional_kpss_pvalue(series, n_permutations=199, seed=0):
-    """Permutation p-value for :func:`functional_kpss_statistic`.
+    total long-run variance of the residuals, the quadrature integral of
+    the diagonal of their :func:`long_run_covariance` at the plug-in
+    bandwidth.  Values stay moderate for trend-stationary series and grow
+    without bound along integrated ones, so the statistic is compared
+    against a Monte Carlo reference rather than tabulated critical values.
 
     Under the trend-stationary null the detrended residual curves are
     exchangeable in time, so the observed statistic is compared against
     the statistics of randomly reordered series.  An integrated series
     loses its cumulative structure under reordering and lands in the far
     right tail.
+
+    Parameters
+    ----------
+    series : ClrSeries
+        At least 10 curves.
+    n_permutations : int
+        Number of reordered series, at least 1.
+    seed : int
+        Seed of the generator that draws the reorderings.
 
     Returns
     -------
@@ -377,12 +350,13 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
     if series.n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {series.n}")
     weights = series.weights
-    observed = _kpss_from_values(series.values, weights)
+    bandwidth = plugin_bandwidth(series)
+    observed = _kpss_from_values(series.values, weights, bandwidth)
     rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(int(n_permutations)):
         shuffled = series.values[rng.permutation(series.n)]
-        if _kpss_from_values(shuffled, weights) >= observed:
+        if _kpss_from_values(shuffled, weights, bandwidth) >= observed:
             exceed += 1
     return observed, (1 + exceed) / (1 + int(n_permutations))
 
@@ -454,13 +428,11 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
             statistic=0.0, p_value=1.0, lag_count=lags, projection_dim=0, degenerate=True
         )
 
-    cov = CovSurface(
-        grid=g, values=centered.T @ centered / m, weights=weights
-    )
+    cov = CovSurface(grid=g, values=_lag_product(centered, 0), weights=weights)
     full = fpca(cov, min(dim, g.size))
     keep = full.eigenvalues > 1e-12 * full.eigenvalues[0]
     eff = int(np.sum(keep))
-    scores = centered @ (full.functions[keep] * weights).T
+    scores = project_scores(centered, full)[:, keep]
 
     # Scores of orthonormal eigenfunctions are uncorrelated in sample, so
     # the lag-zero covariance is diagonal with the kept eigenvalues and
@@ -468,7 +440,7 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
     inv_var = 1.0 / full.eigenvalues[keep]
     statistic = 0.0
     for lag in range(1, lags + 1):
-        c_lag = scores[: m - lag].T @ scores[lag:] / m
+        c_lag = _lag_product(scores, lag)
         quad = float(np.sum(c_lag**2 * np.outer(inv_var, inv_var)))
         statistic += quad * m**2 / (m - lag)
     df = eff**2 * lags

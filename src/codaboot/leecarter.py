@@ -68,8 +68,7 @@ def _decompose(values, n_components):
         if components[k, peak] < 0.0:
             components[k] = -components[k]
             scores[:, k] = -scores[:, k]
-    residuals = centered - scores @ components
-    return mean_curve, components, scores, residuals
+    return mean_curve, components, scores
 
 
 def fit_lc(series, n_components=1):
@@ -91,7 +90,7 @@ def fit_lc(series, n_components=1):
     limit = min(series.values.shape)
     if k < 1 or k > limit:
         raise RankError(f"n_components must be in [1, {limit}], got {n_components}")
-    mean_curve, components, scores, residuals = _decompose(series.values, k)
+    mean_curve, components, scores = _decompose(series.values, k)
     return LcFit(
         years=series.years,
         grid=series.grid,
@@ -99,7 +98,7 @@ def fit_lc(series, n_components=1):
         mean_curve=mean_curve,
         components=components,
         scores=scores,
-        residuals=residuals,
+        residuals=(series.values - mean_curve) - scores @ components,
     )
 
 
@@ -176,7 +175,7 @@ def lc_bootstrap_path(
                 draws = pooled[rng.integers(0, pooled.size, (n, d))]
             else:
                 draws = fit.residuals[rng.integers(0, n, n)]
-            refits.append(_decompose(fitted + draws, k)[:3])
+            refits.append(_decompose(fitted + draws, k))
         futures = _extrapolate_scores(np.stack([r[2] for r in refits]), h_max)
         for rep, (mean_curve, components, _), future in zip(reps, refits, futures):
             clr_samples[:, rep, :] = mean_curve + future @ components

@@ -8,13 +8,11 @@ from codaboot import (
     DomainError,
     EigenBasis,
     InsufficientDataError,
-    LagRangeError,
     RankError,
     ShapeError,
     bartlett_weight,
     clr,
     difference_series,
-    empirical_autocov,
     fpca,
     long_run_covariance,
     plugin_bandwidth,
@@ -42,45 +40,6 @@ def _lrc_oracle(values, h):
         if weight > 0.0:
             total += weight * _autocov_oracle(values, lag)
     return (total + total.T) / 2.0
-
-
-def test_autocov_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        m = int(rng.integers(3, 12))
-        d = int(rng.integers(2, 6))
-        values = rng.normal(size=(m, d))
-        for lag in range(-(m - 1), m):
-            got = empirical_autocov(values, lag)
-            np.testing.assert_allclose(
-                got.values, _autocov_oracle(values, lag), rtol=0, atol=1e-12
-            )
-
-
-def test_autocov_negative_lag_is_transpose():
-    values = np.random.default_rng(9).normal(size=(8, 4))
-    plus = empirical_autocov(values, 2).values
-    minus = empirical_autocov(values, -2).values
-    np.testing.assert_array_equal(minus, plus.T)
-
-
-def test_autocov_rejects_out_of_range_lag():
-    values = np.zeros((5, 3))
-    with pytest.raises(LagRangeError):
-        empirical_autocov(values, 5)
-    with pytest.raises(LagRangeError):
-        empirical_autocov(values, -5)
-
-
-def test_autocov_accepts_series_container():
-    rng = np.random.default_rng(1)
-    grid = np.arange(6.0)
-    raw = rng.lognormal(size=(7, 6))
-    series = clr(raw, ages=grid)
-    from_series = empirical_autocov(series, 1)
-    from_values = empirical_autocov(series.values, 1, grid=grid)
-    np.testing.assert_array_equal(from_series.values, from_values.values)
-    np.testing.assert_array_equal(from_series.grid, grid)
 
 
 @pytest.mark.parametrize(
@@ -121,6 +80,47 @@ def test_long_run_covariance_matches_loop_oracle():
             np.testing.assert_allclose(
                 got.values, _lrc_oracle(values, h), rtol=0, atol=1e-10
             )
+
+
+def test_long_run_covariance_recovers_every_lag_of_the_autocov_oracle():
+    # With L(h) the surface at integer bandwidth h, h L(h) weights lag l by
+    # h - |l|, so its second difference in h isolates
+    # gamma_l + gamma_{-l}: every lag, with divisor m, against the loop.
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        m = int(rng.integers(3, 12))
+        d = int(rng.integers(2, 6))
+        values = rng.normal(size=(m, d))
+        scaled = [np.zeros((d, d))] + [
+            h * long_run_covariance(values, bandwidth=float(h)).values
+            for h in range(1, m + 1)
+        ]
+        np.testing.assert_allclose(
+            scaled[1], _autocov_oracle(values, 0), rtol=0, atol=1e-12
+        )
+        for lag in range(1, m):
+            got = scaled[lag + 1] - 2.0 * scaled[lag] + scaled[lag - 1]
+            expected = _autocov_oracle(values, lag) + _autocov_oracle(values, -lag)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+
+def test_long_run_covariance_is_exactly_symmetric():
+    rng = np.random.default_rng(9)
+    for h in (1.0, 2.0, 3.5, 8.0):
+        surface = long_run_covariance(rng.normal(size=(8, 4)), bandwidth=h).values
+        np.testing.assert_array_equal(surface, surface.T)
+
+
+def test_long_run_covariance_accepts_series_container():
+    rng = np.random.default_rng(1)
+    grid = np.arange(6.0)
+    raw = rng.lognormal(size=(7, 6))
+    series = clr(raw, ages=grid)
+    from_series = long_run_covariance(series)
+    from_values = long_run_covariance(series.values, grid=grid)
+    np.testing.assert_array_equal(from_series.values, from_values.values)
+    np.testing.assert_array_equal(from_series.grid, grid)
+    np.testing.assert_array_equal(from_series.weights, from_values.weights)
 
 
 def test_long_run_covariance_uses_plugin_bandwidth_by_default():
@@ -267,7 +267,7 @@ def test_project_scores_matches_loop_oracle():
     )
     values = rng.normal(size=(6, 7))
     center = rng.normal(size=7)
-    scores = project_scores(values, basis, center=center, grid=grid)
+    scores = project_scores(values - center, basis)
     for t in range(6):
         for k in range(3):
             expected = float(((values[t] - center) * w) @ funcs[k])
@@ -280,9 +280,10 @@ def test_project_scores_validates_grids_and_center():
     funcs = _orthonormal_functions(np.random.default_rng(0), grid, 1)
     basis = EigenBasis(eigenvalues=np.array([1.0]), functions=funcs, grid=grid, weights=w)
     with pytest.raises(ShapeError):
-        project_scores(np.zeros((2, 4)), basis, grid=np.arange(4.0))
+        project_scores(np.zeros((2, 4)), basis)
     with pytest.raises(ShapeError):
-        project_scores(np.zeros((2, 5)), basis, center=np.zeros(4), grid=grid)
+        project_scores(np.zeros((2, 6)), basis)
+    assert project_scores(np.zeros((2, 5)), basis).shape == (2, 1)
 
 
 def test_difference_series():

@@ -7,15 +7,20 @@ would appear under reseeding.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codaboot import (
     ClrSeries,
     DomainError,
     InsufficientDataError,
     IndependenceResult,
+    clr,
+    difference_series,
     functional_kpss_pvalue,
-    functional_kpss_statistic,
     independence_test,
+    long_run_covariance,
+    make_synthetic_grid,
     trapezoid_weights,
 )
 
@@ -29,6 +34,35 @@ def _centred_series(values, grid=GRID):
     return ClrSeries(years=np.arange(values.shape[0]), grid=grid, values=centred)
 
 
+def _statistic(series):
+    return functional_kpss_pvalue(series, n_permutations=1)[0]
+
+
+def _kpss_oracle(values, weights):
+    # Reference statistic whose denominator builds the whole long-run
+    # covariance surface of the detrended curves, eigenvalue clipping
+    # included, and reads its diagonal.
+    n = values.shape[0]
+    design = np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    resid = values - design @ coef
+    numerator = float((np.cumsum(resid, axis=0) ** 2 @ weights).sum()) / n**2
+    denominator = float(np.diag(long_run_covariance(resid).values) @ weights)
+    if denominator <= 1e-14 * max(1.0, numerator):
+        return 0.0 if numerator <= 1e-14 else np.inf
+    return numerator / denominator
+
+
+def _kpss_pvalue_oracle(series, n_permutations, seed):
+    observed = _kpss_oracle(series.values, series.weights)
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    for _ in range(n_permutations):
+        shuffled = series.values[rng.permutation(series.n)]
+        exceed += _kpss_oracle(shuffled, series.weights) >= observed
+    return observed, (1 + exceed) / (1 + n_permutations)
+
+
 def test_kpss_statistic_separates_integrated_from_stationary():
     rw_wins = 0
     rw_stats, iid_stats, diffed_stats = [], [], []
@@ -36,9 +70,9 @@ def test_kpss_statistic_separates_integrated_from_stationary():
         rng = np.random.default_rng(100 + i)
         iid = rng.normal(size=(40, 10))
         rw = np.cumsum(rng.normal(size=(40, 10)), axis=0)
-        s_iid = functional_kpss_statistic(_centred_series(iid))
-        s_rw = functional_kpss_statistic(_centred_series(rw))
-        s_diff = functional_kpss_statistic(_centred_series(np.diff(rw, axis=0)))
+        s_iid = _statistic(_centred_series(iid))
+        s_rw = _statistic(_centred_series(rw))
+        s_diff = _statistic(_centred_series(np.diff(rw, axis=0)))
         rw_wins += s_rw > s_iid
         rw_stats.append(s_rw)
         iid_stats.append(s_iid)
@@ -60,6 +94,34 @@ def test_kpss_permutation_pvalue_flags_random_walk_only():
     assert p_iid > 0.05
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(10, 60),
+    d=st.integers(2, 12),
+    integrated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kpss_statistic_matches_the_full_surface_oracle(n, d, integrated, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.5, 2.0, size=d))
+    values = rng.normal(size=(n, d))
+    if integrated:
+        values = np.cumsum(values, axis=0)
+    series = _centred_series(values, grid)
+    expected = _kpss_oracle(series.values, series.weights)
+    assert _statistic(series) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kpss_pvalue_replays_the_full_surface_oracle(seed):
+    series = clr(make_synthetic_grid(seed=seed))
+    for s in (series, difference_series(series)):
+        stat, p_value = functional_kpss_pvalue(s, n_permutations=199, seed=3)
+        expected_stat, expected_p = _kpss_pvalue_oracle(s, 199, 3)
+        assert stat == pytest.approx(expected_stat, rel=1e-12, abs=0.0)
+        assert p_value == expected_p
+
+
 def test_kpss_pvalue_is_deterministic_in_the_seed():
     rng = np.random.default_rng(3)
     series = _centred_series(rng.normal(size=(25, 10)))
@@ -70,8 +132,6 @@ def test_kpss_pvalue_is_deterministic_in_the_seed():
 
 def test_kpss_requires_enough_curves_and_permutations():
     series = _centred_series(np.random.default_rng(0).normal(size=(9, 10)))
-    with pytest.raises(InsufficientDataError):
-        functional_kpss_statistic(series)
     with pytest.raises(InsufficientDataError):
         functional_kpss_pvalue(series)
     longer = _centred_series(np.random.default_rng(0).normal(size=(12, 10)))
