@@ -7,7 +7,6 @@ from .bootstrap import (
     assemble_forecast,
     bootstrap_forecast_path,
     build_error_pools,
-    forecast_scores,
 )
 from .coda import ClrSeries, clr, inverse_clr, trapezoid_weights
 from .dfm import ComponentCounts, DfmFit, component_counts, fit_dfm

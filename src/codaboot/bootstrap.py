@@ -7,7 +7,8 @@ score series is forecast once from every one of its prefixes.  The
 prefix ending ``h`` steps before an observed value gives one realised
 h-step error, and these errors form the in-sample pools; the whole
 series, its own longest prefix, gives the central forecasts.  Both are
-kept in one :class:`ErrorPool`.  A bootstrap replicate adds one
+kept in one :class:`ErrorPool`, together with the fit they came from,
+so a pool is all that assembly needs.  A bootstrap replicate adds one
 resampled error to each central score forecast, resamples one whole
 residual curve, assembles the clr curve, and maps it back to death
 counts.  Pointwise empirical quantiles of the replicates give the
@@ -21,7 +22,6 @@ order), one per residual component, then the residual-curve row indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -48,12 +48,6 @@ def _check_method(method):
         raise ConfigurationError(
             f"method must be one of {SCORE_METHODS}, got {method!r}"
         )
-
-
-def _forecast_rw_drift(x, horizons):
-    m = x.size
-    drift = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0
-    return x[-1] + drift * np.arange(1, horizons + 1)
 
 
 def _fit_ar_aic(x):
@@ -145,34 +139,21 @@ def _fit_ets_prefixes(x):
     return out_level, out_trend
 
 
-def _fit_ets(x):
-    """Least-squares additive-trend exponential smoothing of one series;
-    returns its ``(level, trend)`` from :func:`_fit_ets_prefixes`."""
-    level, trend = _fit_ets_prefixes(x[None])
-    return float(level[0, -1]), float(trend[0, -1])
+def _drift_every_prefix(scores, h_max):
+    # The prefix ending at row i continues its last value with the average
+    # step (x_i - x_0) / i; a length-one prefix has no step and stays flat.
+    steps = np.arange(scores.shape[0])
+    steps[0] = 1
+    drift = (scores - scores[0]) / steps[:, None]
+    return scores.T[..., None] + drift.T[..., None] * np.arange(1, h_max + 1)
 
 
-def _forecast_ets(x, horizons):
-    level, trend = _fit_ets(x)
-    return level + trend * np.arange(1, horizons + 1)
-
-
-# Every forecaster takes a series of any length from 1: the error pools
-# forecast from each prefix, down to a single value, which all three
-# extrapolate flat.
-_FORECASTERS = {
-    "random_walk_drift": _forecast_rw_drift,
-    "ar_aic": _forecast_ar_aic,
-    "ets_like": _forecast_ets,
-}
-
-
-def _refit_every_prefix(scores, h_max, forecaster):
+def _ar_aic_every_prefix(scores, h_max):
     n, k = scores.shape
     table = np.empty((k, n, h_max))
     for j in range(k):
         for i in range(n):
-            table[j, i] = forecaster(scores[: i + 1, j], h_max)
+            table[j, i] = _forecast_ar_aic(scores[: i + 1, j], h_max)
     return table
 
 
@@ -183,75 +164,36 @@ def _ets_every_prefix(scores, h_max):
 
 # Prefix forecast tables by method: ``table(scores, h_max)[j, i]`` holds
 # the ``1 .. h_max`` step forecasts of column ``j`` of the ``(n, k)``
-# ``scores`` from its first ``i + 1`` values, the same to the bit as
-# ``_FORECASTERS[method](scores[: i + 1, j], h_max)``.
+# ``scores`` from its first ``i + 1`` values, down to a single value,
+# which every method extrapolates flat.
 _PREFIX_TABLES = {
-    "random_walk_drift": partial(_refit_every_prefix, forecaster=_forecast_rw_drift),
-    "ar_aic": partial(_refit_every_prefix, forecaster=_forecast_ar_aic),
+    "random_walk_drift": _drift_every_prefix,
+    "ar_aic": _ar_aic_every_prefix,
     "ets_like": _ets_every_prefix,
 }
 
 
-def forecast_scores(score_series, method, horizons):
-    """Central h-step-ahead forecasts of one score series.
-
-    Parameters
-    ----------
-    score_series : array_like
-        Observed scores, at least 5 of them.
-    method : str
-        ``"random_walk_drift"`` extrapolates the endpoint with the
-        average historical step and suits integrated scores;
-        ``"ar_aic"`` fits an autoregression with the order (up to 5)
-        chosen by AIC and reverts to the mean, for stationary scores;
-        ``"ets_like"`` extrapolates the level and trend of an
-        additive-trend exponential smoother.
-    horizons : int
-        Number of steps ahead, at least 1.
-
-    Returns
-    -------
-    ndarray
-        Forecasts for steps ``1 .. horizons``.
-    """
-    _check_method(method)
-    x = np.asarray(score_series, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("score series must be one-dimensional")
-    if x.size < 5:
-        raise InsufficientDataError(f"need at least 5 scores, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("scores must be finite")
-    h = int(horizons)
-    if h < 1:
-        raise DomainError(f"horizons must be at least 1, got {horizons}")
-    return _FORECASTERS[method](x, h)
-
-
 @dataclass(frozen=True)
 class ErrorPool:
-    """In-sample forecast errors and central forecasts of every component.
+    """In-sample forecast errors and central forecasts of every component
+    of one fit.
 
     ``primary[h - 1]`` is an ``(n - h, r)`` array whose column ``k`` is
     the horizon-``h`` pool of primary component ``k``.
     ``primary_central[h - 1, k]`` is that component's central ``h``-step
     forecast from its whole series, so the pools and the central
-    forecasts come from the same fits, made with ``primary_method``.
-    ``residual``, ``residual_central`` and ``residual_method`` hold the
-    same for the residual-stage components.  ``primary_scores`` and
-    ``residual_scores`` are the fit's score arrays the pool was built
-    from (references, not copies), so a pool can be matched to its fit.
+    forecasts come from the same fits.  ``residual`` and
+    ``residual_central`` hold the same for the residual-stage components.
+    ``fit`` is the :class:`~codaboot.dfm.DfmFit` whose scores they were
+    built from, so a pool cannot be assembled against another fit.
     """
 
+    fit: object
     max_horizon: int
     primary: tuple
     residual: tuple
     primary_central: np.ndarray
     residual_central: np.ndarray
-    primary_method: str
-    residual_method: str
-    primary_scores: np.ndarray
-    residual_scores: np.ndarray
 
 
 def build_error_pools(
@@ -260,15 +202,12 @@ def build_error_pools(
     """Error pools and central forecasts of every component of a fit.
 
     Each score series is forecast ``1 .. max_horizon`` steps ahead from
-    every one of its prefixes, once.  For ``ets_like`` the whole table
-    comes from one pass of :func:`_fit_ets_prefixes` over all the score
-    series of a group; the other methods refit each prefix.  For horizon
-    ``h`` and every target time ``t = h+1 .. n`` the forecast from the
-    prefix ending at ``t - h`` gives the realised error
-    ``x_t - forecast``, so each pool has exactly ``n - h`` entries, in
-    time order, and never looks past the data it forecasts.  The
-    forecasts from the whole series are the central forecasts that
-    :func:`assemble_forecast` perturbs.
+    every one of its prefixes, once.  For horizon ``h`` and every target
+    time ``t = h+1 .. n`` the forecast from the prefix ending at
+    ``t - h`` gives the realised error ``x_t - forecast``, so each pool
+    has exactly ``n - h`` entries, in time order, and never looks past
+    the data it forecasts.  The forecasts from the whole series are the
+    central forecasts that :func:`assemble_forecast` perturbs.
 
     Parameters
     ----------
@@ -278,6 +217,13 @@ def build_error_pools(
         ``fit.n - max_horizon >= 3``.
     primary_method, residual_method : str
         One of :data:`SCORE_METHODS` for each score group.
+        ``"random_walk_drift"`` extrapolates the endpoint with the
+        average historical step and suits integrated scores;
+        ``"ar_aic"`` fits an autoregression with the order (up to 5)
+        chosen by AIC and reverts to the mean, for stationary scores;
+        ``"ets_like"`` extrapolates the level and trend of an
+        additive-trend exponential smoother, every prefix fitted in one
+        pass of :func:`_fit_ets_prefixes`.
 
     Returns
     -------
@@ -306,15 +252,12 @@ def build_error_pools(
     primary, primary_central = pools_for(fit.primary_scores, primary_method)
     residual, residual_central = pools_for(fit.residual_scores, residual_method)
     return ErrorPool(
+        fit=fit,
         max_horizon=h_max,
         primary=primary,
         residual=residual,
         primary_central=primary_central,
         residual_central=residual_central,
-        primary_method=primary_method,
-        residual_method=residual_method,
-        primary_scores=fit.primary_scores,
-        residual_scores=fit.residual_scores,
     )
 
 
@@ -371,76 +314,48 @@ def _banded_forecast(fit, horizon, point, samples, levels, rng_seed):
 
 
 def assemble_forecast(
-    fit,
-    horizon,
-    n_samples=1000,
-    levels=(0.8, 0.95),
-    rng_seed=0,
-    primary_method="random_walk_drift",
-    residual_method="ar_aic",
-    error_pool=None,
+    error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0
 ):
     """Assemble the bootstrap forecast of the curve ``horizon`` steps ahead.
 
     The central score forecasts and the errors added to them both come
-    from the error pool; nothing is refit here.  One generator seeded
-    from ``rng_seed`` drives all draws in the order documented in the
-    module docstring, so a given ``(fit, horizon, n_samples, rng_seed)``
-    always yields the same replicates.
+    from the error pool, and the curves from the fit it was built from;
+    nothing is refit here.  One generator seeded from ``rng_seed`` drives
+    all draws in the order documented in the module docstring, so a given
+    ``(error_pool, horizon, n_samples, rng_seed)`` always yields the same
+    replicates.  For a single horizon, pass
+    ``build_error_pools(fit, horizon, ...)``.
 
     Parameters
     ----------
-    fit : DfmFit
+    error_pool : ErrorPool
+        Built by :func:`build_error_pools` for horizons up to at least
+        ``horizon``.
     horizon : int
-        Steps ahead, with ``fit.n - horizon >= 3``.
+        Steps ahead, at least 1.
     n_samples : int
         Number of bootstrap replicates.
     levels : iterable of float
         Nominal coverage levels, each strictly between 0 and 1.
     rng_seed : int or numpy.random.SeedSequence
-    primary_method, residual_method : str
-        Forecasters for the two score groups.
-    error_pool : ErrorPool, optional
-        Reuse pools that :func:`build_error_pools` built from this fit;
-        they must come from score arrays equal to this fit's, cover
-        ``horizon`` and use the same two methods.  Built here when
-        omitted.
 
     Returns
     -------
     BootstrapForecast
     """
-    _check_method(primary_method)
-    _check_method(residual_method)
     h = int(horizon)
     b = int(n_samples)
     if h < 1:
         raise DomainError(f"horizon must be at least 1, got {horizon}")
     if b < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
-    if fit.n - h < 3:
-        raise InsufficientDataError(
-            f"need at least horizon + 3 = {h + 3} curves, got {fit.n}"
-        )
-    levels = _check_levels(levels)
-    if error_pool is None:
-        error_pool = build_error_pools(
-            fit, h, primary_method=primary_method, residual_method=residual_method
-        )
-    elif error_pool.max_horizon < h:
+    if error_pool.max_horizon < h:
         raise PoolError(
             f"error pool covers horizons up to {error_pool.max_horizon}, need {h}"
         )
-    for name in ("primary_scores", "residual_scores"):
-        if not np.array_equal(getattr(error_pool, name), getattr(fit, name)):
-            raise PoolError(f"error pool was not built from this fit's {name}")
-    built = (error_pool.primary_method, error_pool.residual_method)
-    if built != (primary_method, residual_method):
-        raise PoolError(
-            f"error pool was built with methods {built},"
-            f" not {(primary_method, residual_method)}"
-        )
+    levels = _check_levels(levels)
 
+    fit = error_pool.fit
     rng = np.random.default_rng(rng_seed)
     clr_point = fit.mean_curve.copy()
     clr_samples = np.tile(fit.mean_curve, (b, 1))
@@ -484,27 +399,17 @@ def bootstrap_forecast_path(
     -------
     list of BootstrapForecast
     """
-    h_max = int(max_horizon)
-    if h_max < 1:
-        raise DomainError(f"max_horizon must be at least 1, got {max_horizon}")
     pools = build_error_pools(
-        fit, h_max, primary_method=primary_method, residual_method=residual_method
+        fit, max_horizon, primary_method=primary_method, residual_method=residual_method
     )
     if isinstance(rng_seed, np.random.SeedSequence):
         root = rng_seed
     else:
         root = np.random.SeedSequence(rng_seed)
-    seeds = root.spawn(h_max)
+    seeds = root.spawn(pools.max_horizon)
     return [
         assemble_forecast(
-            fit,
-            horizon=h,
-            n_samples=n_samples,
-            levels=levels,
-            rng_seed=seeds[h - 1],
-            primary_method=primary_method,
-            residual_method=residual_method,
-            error_pool=pools,
+            pools, horizon=h, n_samples=n_samples, levels=levels, rng_seed=seeds[h - 1]
         )
-        for h in range(1, h_max + 1)
+        for h in range(1, pools.max_horizon + 1)
     ]

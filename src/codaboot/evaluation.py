@@ -5,11 +5,12 @@ with ``n`` years, an initial window of ``w`` and a maximum horizon of
 ``H`` it fits on the first ``w, w+1, .., n-1`` years and forecasts up to
 ``min(H, years remaining)`` steps from each fit, so horizon ``h``
 receives exactly ``n - w - h + 1`` forecasts.  Every forecast is scored
-against the held-out curve by the empirical coverage probability (ECP):
-one minus the fraction of (window, age) points falling strictly outside
-the band.  The coverage probability difference (CPD) is the absolute gap
-to the nominal level, and both are averaged across horizons for the
-summary.
+against the held-out curve, rescaled like the forecasts to integrate to
+the radix under the trapezoid rule, by the empirical coverage
+probability (ECP): one minus the fraction of (window, age) points
+falling strictly outside the band.  The coverage probability difference
+(CPD) is the absolute gap to the nominal level, and both are averaged
+across horizons for the summary.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import ClrSeries, clr
+from .coda import ClrSeries, clr, trapezoid_weights
 from .dfm import component_counts, fit_dfm
 from .bootstrap import _check_levels, bootstrap_forecast_path
 from .errors import ConfigurationError, DomainError, ShapeError
@@ -85,11 +86,9 @@ class MethodConfig:
     independence_lags: int = 5
     independence_dim: int = 3
     lc_resample: str = "entries"
-    label: str = ""
 
-    def resolved_label(self):
-        if self.label:
-            return self.label
+    @property
+    def label(self):
         return f"{self.model}-{self.components}"
 
 
@@ -143,6 +142,10 @@ class BacktestReport:
 
 def fit_dfm_for(series, config):
     """Fit the two-stage factor model that a :class:`MethodConfig` describes."""
+    if config.model != "dfm":
+        raise ConfigurationError(
+            f"a factor-model fit needs model 'dfm', got {config.model!r}"
+        )
     counts = component_counts(config.components)
     return fit_dfm(
         series,
@@ -238,6 +241,10 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
         )
 
     series = clr(grid)
+    # Grid rows sum to the radix, but every forecast integrates to it
+    # under the trapezoid rule; holdouts are scored in that convention.
+    weights = trapezoid_weights(grid.ages)
+    observed = grid.deaths * (grid.radix / (grid.deaths @ weights))[:, None]
     windows = list(range(w0, n))
     root = np.random.SeedSequence(rng_seed)
     config_seqs = root.spawn(len(plan.configs))
@@ -280,7 +287,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
                     if n - window < h:
                         continue
                     forecast = results[(ci, wi)][h - 1]
-                    holdouts.append(grid.deaths[window + h - 1])
+                    holdouts.append(observed[window + h - 1])
                     lowers.append(forecast.lower[level])
                     uppers.append(forecast.upper[level])
                 counts[h - 1] = len(holdouts)
@@ -292,7 +299,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
             cpd_by_h = np.abs(ecp_by_h - level)
             rows.append(
                 BacktestRow(
-                    label=config.resolved_label(),
+                    label=config.label,
                     model=config.model,
                     components=str(config.components),
                     level=level,

@@ -114,10 +114,10 @@ def make_factor_grid(
         curves = np.atleast_2d(curves)
         return np.squeeze(curves - np.outer(curves @ weights / eta, np.ones(d)))
 
-    # Keep the mass at both grid edges negligible: holdout years are
-    # normalised by their plain sum while forecast curves integrate to
-    # the radix under the quadrature, and the two conventions differ by
-    # half the edge masses.
+    # The mass at both grid edges is negligible, so a row's plain sum
+    # (the grid convention) and its trapezoid integral (the forecasts'
+    # convention, in which backtests score holdouts) nearly agree; they
+    # differ by half the edge masses.
     position = grid / (d - 1)
     mean = centre(-((position - 0.5) ** 2) * 18.0)
     factor_one = centre(np.sin(np.pi * position))

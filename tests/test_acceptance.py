@@ -19,6 +19,7 @@ import pytest
 from codaboot import (
     BacktestPlan,
     CovSurface,
+    LifeTableGrid,
     MethodConfig,
     bartlett_weight,
     bootstrap_forecast_path,
@@ -184,6 +185,68 @@ def test_synthetic_calibration(capsys):
         "synthetic-calibration",
         ok,
         f"ecp {achieved:.4f} over {evaluations} evaluations, {elapsed:.1f}s",
+    )
+
+
+def test_synthetic_calibration_with_a_realistic_infant_share(capsys):
+    # The frozen recipe above on the same one-factor world, with a fixed
+    # age profile that gives age 0 about 7% of the radix, as observed
+    # tables do; in clr space that only moves the mean curve.  A year's
+    # plain sum then exceeds its trapezoid integral by about 3.5% of the
+    # radix.  Bands are scored against holdouts in the forecasts'
+    # trapezoid convention, and the same bands against the plain-sum rows
+    # must read well below nominal, or the check could not see a
+    # convention mismatch.
+    base = make_factor_grid(n_years=80, n_ages=31, seed=42)
+    infant = float(base.deaths[:, 0].mean())
+    tilt = np.ones(base.n_ages)
+    tilt[0] = 0.07 * (base.radix - infant) / (0.93 * infant)
+    deaths = base.deaths * tilt
+    deaths *= base.radix / deaths.sum(axis=1, keepdims=True)
+    grid = LifeTableGrid(
+        years=base.years, ages=base.ages, deaths=deaths, radix=base.radix
+    )
+    share = grid.deaths[:, 0] / grid.radix
+    plan = BacktestPlan(
+        initial_window=65,
+        max_horizon=1,
+        levels=(0.8,),
+        configs=(MethodConfig(model="dfm", components="one", n_samples=1000),),
+    )
+    bands = {}
+    forecast_dfm = MODEL_FORECASTERS["dfm"]
+
+    def recording(series, config, horizons, levels, rng_seed):
+        out = forecast_dfm(series, config, horizons, levels, rng_seed)
+        bands[series.n] = (out[0].lower[0.8], out[0].upper[0.8])
+        return out
+
+    MODEL_FORECASTERS["dfm"] = recording
+    try:
+        report = run_backtest(grid, plan, rng_seed=7)
+    finally:
+        MODEL_FORECASTERS["dfm"] = forecast_dfm
+    achieved = float(report.rows[0].ecp_by_horizon[0])
+    windows = sorted(bands)
+    plain = ecp(
+        grid.deaths[windows],
+        np.array([bands[w][0] for w in windows]),
+        np.array([bands[w][1] for w in windows]),
+        1,
+        len(windows),
+    )
+    ok = (
+        0.05 <= share.min()
+        and share.max() <= 0.10
+        and 0.70 <= achieved <= 0.90
+        and plain < 0.70
+    )
+    _verdict(
+        capsys,
+        "synthetic-calibration-infant-share",
+        ok,
+        f"infant share {share.min():.3f}-{share.max():.3f}, ecp {achieved:.4f},"
+        f" plain-sum holdouts {plain:.4f}",
     )
 
 

@@ -1,4 +1,4 @@
-"""Score forecasters, error pools and bootstrap interval assembly."""
+"""Score forecast tables, error pools and bootstrap interval assembly."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -20,28 +20,32 @@ from codaboot import (
     build_error_pools,
     clr,
     fit_dfm,
-    forecast_scores,
     inverse_clr,
-    make_factor_grid,
     trapezoid_weights,
 )
 from codaboot.bootstrap import (
     _ETS_GRID,
-    _FORECASTERS,
+    _PREFIX_TABLES,
     SCORE_METHODS,
-    _fit_ets,
     _fit_ets_prefixes,
+    _forecast_ar_aic,
 )
+
+
+def _central(x, method, horizons):
+    """Forecasts of one series from its whole length, read off the last
+    row of the method's prefix table."""
+    return _PREFIX_TABLES[method](np.asarray(x, dtype=float)[:, None], horizons)[0, -1]
 
 
 def test_random_walk_drift_hand_case():
     # drift = (11 - 1) / 4 = 2.5 continued from the endpoint.
-    out = forecast_scores(np.array([1.0, 3.0, 7.0, 9.0, 11.0]), "random_walk_drift", 3)
+    out = _central([1.0, 3.0, 7.0, 9.0, 11.0], "random_walk_drift", 3)
     np.testing.assert_allclose(out, [13.5, 16.0, 18.5], rtol=0, atol=1e-12)
 
 
 def test_ets_is_exact_on_a_linear_series():
-    out = forecast_scores(np.array([3.0, 5.0, 7.0, 9.0, 11.0]), "ets_like", 3)
+    out = _central([3.0, 5.0, 7.0, 9.0, 11.0], "ets_like", 3)
     np.testing.assert_allclose(out, [13.0, 15.0, 17.0], rtol=0, atol=1e-9)
 
 
@@ -60,9 +64,9 @@ def test_ets_matches_scalar_grid_search():
                 trend = trend + a * b * err
             if best is None or sse < best[0]:
                 best = (sse, level, trend)
-    level, trend = _fit_ets(y)
-    assert level == pytest.approx(best[1], abs=1e-12)
-    assert trend == pytest.approx(best[2], abs=1e-12)
+    level, trend = _fit_ets_prefixes(y[None])
+    assert level[0, -1] == pytest.approx(best[1], abs=1e-12)
+    assert trend[0, -1] == pytest.approx(best[2], abs=1e-12)
 
 
 def _two_pass_ets(x):
@@ -102,12 +106,6 @@ def _finite_series(min_size, max_size):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(x=_finite_series(1, 80))
-def test_ets_fit_matches_the_two_pass_replay_bit_for_bit(x):
-    assert _fit_ets(x) == _two_pass_ets(x)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     x=arrays(
@@ -124,13 +122,52 @@ def test_ets_prefix_fits_match_the_two_pass_replay_bit_for_bit(x):
             assert (level[j, i], trend[j, i]) == _two_pass_ets(x[j, : i + 1])
 
 
+def _drift_oracle(x, horizons):
+    m = x.size
+    drift = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0
+    return x[-1] + drift * np.arange(1, horizons + 1)
+
+
+def _ets_oracle(x, horizons):
+    level, trend = _two_pass_ets(x)
+    return level + trend * np.arange(1, horizons + 1)
+
+
+# Scalar forecasts of one series from its whole length, one per method.
+_ORACLES = {
+    "random_walk_drift": _drift_oracle,
+    "ar_aic": _forecast_ar_aic,
+    "ets_like": _ets_oracle,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scores=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 120), st.integers(1, 6)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    ),
+    h_max=st.integers(1, 25),
+)
+def test_drift_table_matches_the_scalar_drift_bit_for_bit(scores, h_max):
+    table = _PREFIX_TABLES["random_walk_drift"](scores, h_max)
+    n, k = scores.shape
+    assert table.shape == (k, n, h_max)
+    for j in range(k):
+        for i in range(n):
+            np.testing.assert_array_equal(
+                table[j, i], _drift_oracle(scores[: i + 1, j], h_max)
+            )
+
+
 def test_ar_forecasts_revert_to_the_mean_geometrically():
     rng = np.random.default_rng(1234)
     eps = rng.normal(size=500)
     x = np.zeros(500)
     for t in range(1, 500):
         x[t] = 0.5 * x[t - 1] + eps[t]
-    out = forecast_scores(x, "ar_aic", 8)
+    out = _central(x, "ar_aic", 8)
     mean = x.mean()
     # The fitted coefficient sits near the true 0.5 and the forecast path
     # decays toward the sample mean.
@@ -143,21 +180,8 @@ def test_ar_forecasts_revert_to_the_mean_geometrically():
 def test_ar_on_white_noise_collapses_to_the_mean():
     rng = np.random.default_rng(10)
     x = rng.normal(loc=3.0, size=300)
-    out = forecast_scores(x, "ar_aic", 4)
+    out = _central(x, "ar_aic", 4)
     np.testing.assert_allclose(out, np.full(4, x.mean()), rtol=0, atol=0.2)
-
-
-def test_forecast_scores_validation():
-    with pytest.raises(ConfigurationError):
-        forecast_scores(np.arange(10.0), "midpoint", 1)
-    with pytest.raises(InsufficientDataError):
-        forecast_scores(np.arange(4.0), "random_walk_drift", 1)
-    with pytest.raises(DomainError):
-        forecast_scores(np.arange(10.0), "random_walk_drift", 0)
-    with pytest.raises(DomainError):
-        forecast_scores(np.array([1.0, 2.0, np.nan, 4.0, 5.0]), "random_walk_drift", 1)
-    with pytest.raises(DomainError):
-        forecast_scores(np.zeros((5, 2)), "random_walk_drift", 1)
 
 
 def _single_series_fit(x):
@@ -183,6 +207,7 @@ def test_error_pool_hand_case_on_squares():
 def test_error_pool_sizes_and_validation():
     fit = _single_series_fit(np.arange(12.0))
     pools = build_error_pools(fit, 9)
+    assert pools.fit is fit
     for h in range(1, 10):
         assert pools.primary[h - 1].shape == (12 - h, 1)
     assert pools.primary_central.shape == (9, 1)
@@ -209,12 +234,10 @@ def test_error_pool_is_zero_when_the_forecaster_is_exact():
 def test_pools_and_central_forecasts_come_from_the_prefix_forecasts(x, method, data):
     h_max = data.draw(st.integers(1, min(4, x.size - 3)), label="max_horizon")
     pools = build_error_pools(_single_series_fit(x), h_max, primary_method=method)
-    np.testing.assert_array_equal(
-        pools.primary_central[:, 0], forecast_scores(x, method, h_max)
-    )
+    np.testing.assert_array_equal(pools.primary_central[:, 0], _ORACLES[method](x, h_max))
     for h in range(1, h_max + 1):
         expected = [
-            x[t] - _FORECASTERS[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
+            x[t] - _ORACLES[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
         ]
         np.testing.assert_array_equal(pools.primary[h - 1][:, 0], expected)
 
@@ -233,7 +256,7 @@ def _direct_pool(x, method, h):
     """Horizon-h errors, refitting on the prefix that ends h steps before
     each target."""
     forecasts = [
-        _FORECASTERS[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
+        _ORACLES[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
     ]
     return x[h:] - np.array(forecasts)
 
@@ -261,7 +284,7 @@ def test_assemble_forecast_shift_equivariance():
     # replicate by c times that component's basis function in clr space.
     fit = _fixture_fit()
     pools = build_error_pools(fit, 2)
-    base = assemble_forecast(fit, horizon=2, n_samples=200, rng_seed=5, error_pool=pools)
+    base = assemble_forecast(pools, horizon=2, n_samples=200, rng_seed=5)
     base_clr = clr(base.samples, ages=fit.grid).values
     c = 0.37
     for group, basis, k in (
@@ -272,11 +295,10 @@ def test_assemble_forecast_shift_equivariance():
         for errors in shifted:
             errors[:, k] += c
         moved = assemble_forecast(
-            fit,
+            dataclasses.replace(pools, **{group: tuple(shifted)}),
             horizon=2,
             n_samples=200,
             rng_seed=5,
-            error_pool=dataclasses.replace(pools, **{group: tuple(shifted)}),
         )
         np.testing.assert_allclose(
             clr(moved.samples, ages=fit.grid).values - base_clr,
@@ -294,7 +316,7 @@ def test_assemble_forecast_replays_the_documented_draws():
     fit = _fixture_fit()
     h, b = 2, 60
     pools = build_error_pools(fit, h)
-    fc = assemble_forecast(fit, horizon=h, n_samples=b, rng_seed=4, error_pool=pools)
+    fc = assemble_forecast(pools, horizon=h, n_samples=b, rng_seed=4)
     rng = np.random.default_rng(4)
     expected = np.tile(fit.mean_curve, (b, 1))
     for scores, basis, errors, method in (
@@ -302,7 +324,7 @@ def test_assemble_forecast_replays_the_documented_draws():
         (fit.residual_scores, fit.residual_basis, pools.residual[h - 1], "ar_aic"),
     ):
         for k in range(basis.n_components):
-            central = forecast_scores(scores[:, k], method, h)[-1]
+            central = _ORACLES[method](scores[:, k], h)[-1]
             draws = central + errors[rng.integers(0, errors.shape[0], b), k]
             expected += np.outer(draws, basis.functions[k])
     expected += fit.final_residuals[rng.integers(0, fit.n, b)]
@@ -313,25 +335,31 @@ def test_assemble_forecast_replays_the_documented_draws():
 
 def test_assemble_forecast_shapes_and_determinism():
     fit = _fixture_fit()
-    fc = assemble_forecast(fit, horizon=2, n_samples=300, rng_seed=7)
+    pools = build_error_pools(fit, 2)
+    fc = assemble_forecast(pools, horizon=2, n_samples=300, rng_seed=7)
     assert fc.samples.shape == (300, 10)
     assert fc.point.shape == (10,)
-    again = assemble_forecast(fit, horizon=2, n_samples=300, rng_seed=7)
+    again = assemble_forecast(
+        build_error_pools(fit, 2), horizon=2, n_samples=300, rng_seed=7
+    )
     np.testing.assert_array_equal(fc.samples, again.samples)
-    other = assemble_forecast(fit, horizon=2, n_samples=300, rng_seed=8)
+    other = assemble_forecast(pools, horizon=2, n_samples=300, rng_seed=8)
     assert not np.array_equal(fc.samples, other.samples)
 
 
 def test_assemble_forecast_point_is_seed_free():
     fit = _fixture_fit()
-    one = assemble_forecast(fit, horizon=3, n_samples=10, rng_seed=1)
-    two = assemble_forecast(fit, horizon=3, n_samples=500, rng_seed=99)
+    pools = build_error_pools(fit, 3)
+    one = assemble_forecast(pools, horizon=3, n_samples=10, rng_seed=1)
+    two = assemble_forecast(pools, horizon=3, n_samples=500, rng_seed=99)
     np.testing.assert_allclose(one.point, two.point, rtol=0, atol=1e-12)
 
 
 def test_every_sample_integrates_to_the_radix():
     fit = _fixture_fit()
-    fc = assemble_forecast(fit, horizon=1, n_samples=400, rng_seed=3)
+    fc = assemble_forecast(
+        build_error_pools(fit, 1), horizon=1, n_samples=400, rng_seed=3
+    )
     w = trapezoid_weights(fit.grid)
     np.testing.assert_allclose(fc.samples @ w, np.full(400, 1000.0), rtol=1e-10)
     np.testing.assert_allclose(fc.point @ w, 1000.0, rtol=1e-10)
@@ -340,7 +368,10 @@ def test_every_sample_integrates_to_the_radix():
 
 def test_bounds_are_the_empirical_quantiles_of_the_samples():
     fit = _fixture_fit()
-    fc = assemble_forecast(fit, horizon=2, n_samples=101, levels=(0.8, 0.95), rng_seed=11)
+    pools = build_error_pools(fit, 2)
+    fc = assemble_forecast(
+        pools, horizon=2, n_samples=101, levels=(0.8, 0.95), rng_seed=11
+    )
     for level in (0.8, 0.95):
         alpha = (1.0 - level) / 2.0
         np.testing.assert_array_equal(fc.lower[level], np.quantile(fc.samples, alpha, axis=0))
@@ -355,62 +386,20 @@ def test_bounds_are_the_empirical_quantiles_of_the_samples():
 def test_assemble_forecast_validation():
     fit = _fixture_fit()
     with pytest.raises(InsufficientDataError):
-        assemble_forecast(fit, horizon=38, n_samples=10)
-    with pytest.raises(DomainError):
-        assemble_forecast(fit, horizon=0, n_samples=10)
-    with pytest.raises(ConfigurationError):
-        assemble_forecast(fit, horizon=1, n_samples=10, levels=())
-    with pytest.raises(ConfigurationError):
-        assemble_forecast(fit, horizon=1, n_samples=10, levels=(1.2,))
-    with pytest.raises(ConfigurationError):
-        assemble_forecast(fit, horizon=1, n_samples=10, levels=(0.8, 0.8))
-    with pytest.raises(ConfigurationError):
-        assemble_forecast(fit, horizon=1, n_samples=10, primary_method="naive")
+        assemble_forecast(build_error_pools(fit, 38), horizon=38, n_samples=10)
     pools = build_error_pools(fit, 2)
+    with pytest.raises(DomainError):
+        assemble_forecast(pools, horizon=0, n_samples=10)
+    with pytest.raises(DomainError):
+        assemble_forecast(pools, horizon=1, n_samples=0)
+    with pytest.raises(ConfigurationError):
+        assemble_forecast(pools, horizon=1, n_samples=10, levels=())
+    with pytest.raises(ConfigurationError):
+        assemble_forecast(pools, horizon=1, n_samples=10, levels=(1.2,))
+    with pytest.raises(ConfigurationError):
+        assemble_forecast(pools, horizon=1, n_samples=10, levels=(0.8, 0.8))
     with pytest.raises(PoolError):
-        assemble_forecast(fit, horizon=3, n_samples=10, error_pool=pools)
-
-
-def test_assemble_forecast_rejects_a_pool_built_with_other_methods():
-    # The central forecasts live in the pool, so a pool built with other
-    # methods would pair one method's forecasts with another's errors.
-    fit = _fixture_fit()
-    for methods in (
-        {"primary_method": "ets_like"},
-        {"residual_method": "random_walk_drift"},
-    ):
-        pools = build_error_pools(fit, 2, **methods)
-        with pytest.raises(PoolError):
-            assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools)
-        assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools, **methods)
-
-
-def _factor_fit(seed, n_primary=2):
-    series = clr(make_factor_grid(40, seed=seed))
-    return fit_dfm(series, n_primary=n_primary, n_residual=1, force_residual_stage=True)
-
-
-def test_assemble_forecast_rejects_a_pool_built_from_another_fit():
-    # The central forecasts live in the pool, so a pool from a fit on
-    # other data would silently move the point forecast.
-    fit = _factor_fit(seed=2)
-    pools = build_error_pools(_factor_fit(seed=1), 2)
-    with pytest.raises(PoolError, match="primary_scores"):
-        assemble_forecast(fit, horizon=1, n_samples=10, error_pool=pools)
-    # An equal but separate copy of the scores is the same fit.
-    copied = dataclasses.replace(
-        build_error_pools(fit, 2), primary_scores=fit.primary_scores.copy()
-    )
-    assemble_forecast(fit, horizon=1, n_samples=10, error_pool=copied)
-
-
-def test_assemble_forecast_rejects_a_pool_with_other_component_counts():
-    two, three = _factor_fit(seed=2), _factor_fit(seed=2, n_primary=3)
-    for fit, other in ((two, three), (three, two)):
-        with pytest.raises(PoolError, match="primary_scores"):
-            assemble_forecast(
-                fit, horizon=1, n_samples=10, error_pool=build_error_pools(other, 2)
-            )
+        assemble_forecast(pools, horizon=3, n_samples=10)
 
 
 def test_path_shares_pools_and_spawned_seeds():
@@ -420,9 +409,7 @@ def test_path_shares_pools_and_spawned_seeds():
     pools = build_error_pools(fit, 3)
     seeds = np.random.SeedSequence(42).spawn(3)
     for h in range(1, 4):
-        single = assemble_forecast(
-            fit, horizon=h, n_samples=150, rng_seed=seeds[h - 1], error_pool=pools
-        )
+        single = assemble_forecast(pools, horizon=h, n_samples=150, rng_seed=seeds[h - 1])
         np.testing.assert_array_equal(path[h - 1].samples, single.samples)
 
 

@@ -364,3 +364,28 @@ def test_levels_reject_duplicates_and_non_numbers(tmp_path, capsys):
     assert main(args + ["--levels", "80,abc"]) == 1
     assert "error kind=ConfigurationError:" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def test_factor_model_subcommands_reject_the_lee_carter_model(tmp_path, capsys):
+    # fit and diagnose run only the factor model; asking them for
+    # Lee-Carter fails instead of silently writing factor-model outputs.
+    for args in (
+        ["fit", "--synthetic", "20", "--model", "lc", "--method", "ets_like"],
+        ["diagnose", "--synthetic", "20", "--model", "lc", "--kpss-permutations", "9"],
+    ):
+        out = tmp_path / args[0]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
+        assert not out.exists()
+
+    saved = tmp_path / "saved"
+    assert main(["fit", "--synthetic", "20", "--out", str(saved)]) == 0
+    data = json.loads((saved / "config.json").read_text(encoding="utf-8"))
+    data["model"] = "lc"
+    edited = tmp_path / "lc.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    rerun = tmp_path / "rerun"
+    assert main(["fit", "--config", str(edited), "--out", str(rerun)]) == 1
+    assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
+    assert not rerun.exists()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codaboot import (
     ClrSeries,
@@ -176,3 +179,37 @@ def test_round_trip_from_grid_rows_rescales_only():
     back = inverse_clr(series.values, grid, radix=1000.0)
     expected = deaths * (1000.0 / (deaths @ w))[:, None]
     np.testing.assert_allclose(back, expected, rtol=1e-10)
+
+
+@st.composite
+def _uneven_grid_and_logs(draw):
+    """A strictly increasing grid with uneven spacing and one row of
+    values per curve on it, in ``[-10, 10]``."""
+    d = draw(st.integers(2, 40))
+    gaps = draw(arrays(np.float64, d - 1, elements=st.floats(0.05, 5.0)))
+    start = draw(st.floats(-50.0, 50.0))
+    grid = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    m = draw(st.integers(1, 4))
+    logs = draw(arrays(np.float64, (m, d), elements=st.floats(-10.0, 10.0)))
+    return grid, logs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_uneven_grid_and_logs(), radix=st.floats(1.0, 1e6))
+def test_round_trip_rescales_to_the_trapezoid_integral(case, radix):
+    grid, logs = case
+    deaths = np.exp(logs)
+    back = inverse_clr(clr(deaths, ages=grid).values, grid, radix)
+    expected = deaths * (radix / (deaths @ trapezoid_weights(grid)))[:, None]
+    np.testing.assert_allclose(back, expected, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_uneven_grid_and_logs())
+def test_clr_inverts_inverse_clr_on_zero_integral_curves(case):
+    grid, raw = case
+    w = trapezoid_weights(grid)
+    curves = raw - ((raw @ w) / (grid[-1] - grid[0]))[:, None]
+    again = clr(inverse_clr(curves, grid), ages=grid).values
+    scale = max(1.0, float(np.abs(raw).max()))
+    np.testing.assert_allclose(again, curves, rtol=0, atol=1e-12 * scale)

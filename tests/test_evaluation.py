@@ -15,9 +15,10 @@ from codaboot import (
     make_factor_grid,
     run_backtest,
     series_prefix,
+    trapezoid_weights,
 )
 from codaboot.coda import clr
-from codaboot.evaluation import MODEL_FORECASTERS
+from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for
 
 
 def test_ecp_trivial_cases():
@@ -67,9 +68,10 @@ def test_ecp_validates_window_count_and_shapes():
 
 
 def test_method_config_labels():
-    assert MethodConfig().resolved_label() == "dfm-six"
-    assert MethodConfig(model="lc", components="one").resolved_label() == "lc-one"
-    assert MethodConfig(label="baseline").resolved_label() == "baseline"
+    assert MethodConfig().label == "dfm-six"
+    assert MethodConfig(model="lc", components="one").label == "lc-one"
+    with pytest.raises(TypeError):
+        MethodConfig(label="baseline")
 
 
 def test_plan_validation():
@@ -136,6 +138,47 @@ def _constant_band(lo, up):
     return lambda rng, d, h: (np.full(d, lo), np.full(d, up))
 
 
+def test_holdouts_are_scored_in_the_forecasts_quadrature_convention():
+    # Forecasts integrate to the radix under the trapezoid rule, but grid
+    # rows sum to it, so a row's trapezoid-normalised version sits above
+    # it at every age by half its edge masses.  Bands that hug the
+    # trapezoid-normalised holdout cover every point; scored against the
+    # plain-sum row, they would cover none.
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=4)
+    w = trapezoid_weights(grid.ages)
+    target = grid.deaths * (grid.radix / (grid.deaths @ w))[:, None]
+    assert np.all(target * (1.0 - 1e-9) > grid.deaths)
+
+    def hugging(series, config, horizons, levels, rng_seed):
+        return [
+            _ScriptedForecast(
+                lower={l: target[series.n + h - 1] * (1.0 - 1e-9) for l in levels},
+                upper={l: target[series.n + h - 1] * (1.0 + 1e-9) for l in levels},
+            )
+            for h in range(1, horizons + 1)
+        ]
+
+    plan = BacktestPlan(
+        initial_window=24,
+        max_horizon=3,
+        levels=(0.8,),
+        configs=(MethodConfig(model="scripted", components="one"),),
+    )
+    MODEL_FORECASTERS["scripted"] = hugging
+    try:
+        report = run_backtest(grid, plan)
+    finally:
+        del MODEL_FORECASTERS["scripted"]
+    np.testing.assert_array_equal(report.rows[0].ecp_by_horizon, np.ones(3))
+
+
+def test_fit_dfm_for_rejects_other_models():
+    series = clr(make_factor_grid(n_years=20, n_ages=6, seed=0))
+    for model in ("lc", "scripted"):
+        with pytest.raises(ConfigurationError, match="dfm"):
+            fit_dfm_for(series, MethodConfig(model=model))
+
+
 def test_cpd_and_averages():
     # Bands that cover every age at odd horizons and none at even ones
     # give ECPs 1, 0, 1, 0: mean ECP 0.5 and mean CPD (0.2 + 0.8) / 2.
@@ -194,14 +237,14 @@ def test_backtest_window_schedule_and_counts():
         initial_window=24,
         max_horizon=5,
         levels=(0.8,),
-        configs=(MethodConfig(model="scripted", components="one", label="inf"),),
+        configs=(MethodConfig(model="scripted", components="one"),),
     )
     report, record = _run_scripted(grid, plan, _constant_band(-np.inf, np.inf))
 
     # Fits on windows 24..29; window w forecasts min(5, 30 - w) steps.
     assert record == [(w, min(5, 30 - w)) for w in range(24, 30)]
     row = report.rows[0]
-    assert row.label == "inf"
+    assert row.label == "scripted-one"
     np.testing.assert_array_equal(row.horizons, np.arange(1, 6))
     np.testing.assert_array_equal(row.window_counts, [6, 5, 4, 3, 2])
     # Infinite bounds cover everything at every horizon.

@@ -13,7 +13,7 @@ from codaboot import (
     trapezoid_weights,
 )
 from codaboot import leecarter
-from codaboot.bootstrap import _fit_ets
+from codaboot.bootstrap import _PREFIX_TABLES
 from codaboot.coda import inverse_clr
 
 
@@ -108,10 +108,7 @@ def test_bootstrap_replicates_follow_the_documented_recipe():
             if components[k, peak] < 0.0:
                 components[k] = -components[k]
                 scores[:, k] = -scores[:, k]
-        future = np.empty((h_max, 2))
-        for k in range(2):
-            level, trend = _fit_ets(scores[:, k])
-            future[:, k] = level + trend * np.arange(1, h_max + 1)
+        future = _PREFIX_TABLES["ets_like"](scores, h_max)[:, -1].T
         curves = mean_curve + future @ components
         for h in range(1, h_max + 1):
             expected = inverse_clr(curves[h - 1], grid, series.radix)
