@@ -105,6 +105,43 @@ def _method_config(config):
     )
 
 
+# The option that sets each model setting.  The factor model reads its
+# score method only when it forecasts, and Lee-Carter runs only there.
+_MODEL_OPTIONS = {
+    "method": "--method",
+    "bandwidth": "--bandwidth",
+    "force_residual_stage": "--no-force-residual-stage",
+    "lags": "--lags",
+    "dim": "--dim",
+    "lc_resample": "--lc-resample",
+}
+_FORECASTING = ("forecast", "backtest")
+
+
+def _check_model_options(config):
+    """Reject model settings that the run would silently ignore."""
+    if config.subcommand not in _FORECASTING + ("diagnose", "fit"):
+        return
+    forecasting = config.subcommand in _FORECASTING
+    if config.model == "lc":
+        used = {"lc_resample"} if forecasting else set()
+    else:
+        used = {"bandwidth", "force_residual_stage", "lags", "dim"}
+        if forecasting:
+            used.add("method")
+    defaults = RunConfig(subcommand=config.subcommand)
+    ignored = [
+        option
+        for name, option in _MODEL_OPTIONS.items()
+        if name not in used and getattr(config, name) != getattr(defaults, name)
+    ]
+    if ignored:
+        raise ConfigurationError(
+            f"{config.subcommand} with model {config.model!r} does not read"
+            f" {', '.join(ignored)}"
+        )
+
+
 def _parse_levels(text):
     levels = []
     for token in text.split(","):
@@ -465,7 +502,12 @@ def _build_parser():
     bt.add_argument("--max-horizon", type=int, default=20)
     bt.add_argument("--replications", type=int, default=1000)
     bt.add_argument("--levels", default="80,95", help="comma-separated percentages")
-    bt.add_argument("--jobs", type=int, help="worker threads over windows (default: 1)")
+    bt.add_argument(
+        "--jobs",
+        type=int,
+        help="worker threads over windows (default: 1); each window keeps only"
+        " its bands, so memory does not grow with the number of windows",
+    )
     return parser
 
 
@@ -505,6 +547,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args, parser)
+        _check_model_options(config)
         if config.subcommand not in _RUNNERS:
             raise ConfigurationError(f"unknown subcommand {config.subcommand!r}")
         return _RUNNERS[config.subcommand](config)

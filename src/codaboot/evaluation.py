@@ -199,7 +199,11 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
 
     Randomness is pre-split per (config, window) from ``rng_seed``, so
     the report does not depend on ``n_jobs`` or on the order in which
-    windows finish.
+    windows finish.  Each window keeps only its per-horizon ``lower``
+    and ``upper`` bands, which is all that scoring reads; its forecasts
+    and their bootstrap samples are released as soon as it finishes, so
+    memory does not grow with the number of windows.  Only the CLI's
+    ``forecast --dump-samples`` keeps bootstrap curves.
 
     Parameters
     ----------
@@ -209,6 +213,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     rng_seed : int
     n_jobs : int
         Worker threads for the window loop, at least 1; 1 runs serially.
+        At most ``n_jobs`` windows hold bootstrap samples at once.
 
     Returns
     -------
@@ -253,7 +258,10 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
         sub = series_prefix(series, window)
         horizons = min(h_max, n - window)
         forecaster = MODEL_FORECASTERS[config.model]
-        return forecaster(sub, config, horizons, plan.levels, seed)
+        forecasts = forecaster(sub, config, horizons, plan.levels, seed)
+        # Scoring reads only the bands; returning them alone frees the
+        # window's bootstrap samples as soon as it finishes.
+        return [(f.lower, f.upper) for f in forecasts]
 
     tasks = []
     for ci, config in enumerate(plan.configs):
@@ -286,10 +294,10 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
                 for wi, window in enumerate(windows):
                     if n - window < h:
                         continue
-                    forecast = results[(ci, wi)][h - 1]
+                    lower, upper = results[(ci, wi)][h - 1]
                     holdouts.append(observed[window + h - 1])
-                    lowers.append(forecast.lower[level])
-                    uppers.append(forecast.upper[level])
+                    lowers.append(lower[level])
+                    uppers.append(upper[level])
                 counts[h - 1] = len(holdouts)
                 # Horizon h collects one forecast per window that still has
                 # h holdout years, which is (n - w0) + 1 - h of them.

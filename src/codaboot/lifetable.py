@@ -34,9 +34,6 @@ DEFAULT_RADIX = 100000.0
 # log-ratio transform stays finite.
 POSITIVITY_FLOOR = 1e-6
 
-# The open age group "110+" is folded onto this age.
-TERMINAL_AGE = 110
-
 _SEX_ALIASES = {
     "f": "female",
     "female": "female",
@@ -176,9 +173,10 @@ def parse_lifetable(text_source, sex_filter=None):
     comma the source is read as CSV with a header naming at least ``year``,
     ``age`` and ``qx`` (case-insensitive).  Otherwise the source is treated
     as whitespace-columnar: the first line whose tokens include ``Year``,
-    ``Age`` and ``qx`` is the header and following lines are data.  The
-    open age group ``110+`` is folded onto age 110.  The missing-value
-    token ``.`` is rejected rather than silently dropped.
+    ``Age`` and ``qx`` is the header and following lines are data.  An
+    open age group such as ``110+`` or ``100+`` is folded onto its lower
+    bound.  The missing-value token ``.`` is rejected rather than
+    silently dropped.
 
     Parameters
     ----------
@@ -310,7 +308,7 @@ def rebuild_deaths(rows, radix=DEFAULT_RADIX):
 
     For each year the survivorship recursion ``l_{u+1} = l_u (1 - q_u)``,
     ``d_u = l_u q_u`` is run from ``l_0 = radix``; the terminal age group
-    receives all remaining survivors, ``d_110 = l_110``, so the raw counts
+    ``T`` receives all remaining survivors, ``d_T = l_T``, so the raw counts
     sum to the radix exactly.  Counts are then rounded to six decimal
     places, entries below :data:`POSITIVITY_FLOOR` are lifted to it, and
     the row is renormalised to the radix.
@@ -318,7 +316,8 @@ def rebuild_deaths(rows, radix=DEFAULT_RADIX):
     Parameters
     ----------
     rows : iterable of LifeTableRow
-        Must cover ages ``0..110`` exactly once for every year present.
+        Must cover ages ``0..T`` exactly once for every year present,
+        where the terminal age ``T`` is the highest age in the rows.
     radix : float
         Cohort size each year is normalised to.
 
@@ -329,7 +328,8 @@ def rebuild_deaths(rows, radix=DEFAULT_RADIX):
     Raises
     ------
     CompletenessError
-        When a year misses or duplicates an age.
+        When a year misses or duplicates an age; a year that closes below
+        another year's terminal age misses ages.
     DomainError
         When the terminal age group does not have ``qx = 1``.
     """
@@ -344,7 +344,8 @@ def rebuild_deaths(rows, radix=DEFAULT_RADIX):
     if not by_year:
         raise CompletenessError("no rows to rebuild from")
 
-    expected = list(range(TERMINAL_AGE + 1))
+    terminal = max(max(ages) for ages in by_year.values())
+    expected = list(range(terminal + 1))
     years = sorted(by_year)
     deaths = np.empty((len(years), len(expected)))
     for i, year in enumerate(years):
@@ -353,7 +354,7 @@ def rebuild_deaths(rows, radix=DEFAULT_RADIX):
             missing = sorted(set(expected) - set(ages))
             extra = sorted(set(ages) - set(expected))
             raise CompletenessError(
-                f"year {year}: ages must cover 0..{TERMINAL_AGE} exactly once"
+                f"year {year}: ages must cover 0..{terminal} exactly once"
                 f" (missing {missing[:5]}, unexpected {extra[:5]})"
             )
         qx = np.array([ages[a] for a in expected])

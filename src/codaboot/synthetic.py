@@ -22,9 +22,11 @@ from .lifetable import (
     DEFAULT_RADIX,
     LifeTableGrid,
     LifeTableRow,
-    TERMINAL_AGE,
     rebuild_deaths,
 )
+
+# The synthetic tables close with an open age group at this age.
+TERMINAL_AGE = 110
 
 
 def make_synthetic_grid(n_years=50, seed=0, start_year=1950, radix=DEFAULT_RADIX):

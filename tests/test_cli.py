@@ -389,3 +389,90 @@ def test_factor_model_subcommands_reject_the_lee_carter_model(tmp_path, capsys):
     assert main(["fit", "--config", str(edited), "--out", str(rerun)]) == 1
     assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
     assert not rerun.exists()
+
+
+def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
+    # Each option here would leave every output but config.json unchanged.
+    for i, args in enumerate(
+        (
+            ["forecast", "--model", "lc", "--method", "ar_aic"],
+            ["forecast", "--model", "lc", "--bandwidth", "3"],
+            ["forecast", "--model", "lc", "--no-force-residual-stage"],
+            ["backtest", "--model", "lc", "--lags", "2"],
+            ["backtest", "--model", "lc", "--dim", "2"],
+            ["forecast", "--lc-resample", "rows"],
+            ["backtest", "--model", "dfm", "--lc-resample", "rows"],
+            ["fit", "--lc-resample", "rows"],
+            ["diagnose", "--kpss-permutations", "9", "--lc-resample", "rows"],
+            ["fit", "--method", "ets_like"],
+        )
+    ):
+        out = tmp_path / str(i)
+        assert main(args + ["--synthetic", "20", "--out", str(out)]) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("error kind=ConfigurationError:"), args
+        # Each case ends with the ignored option, or with it and its value.
+        assert args[-1] in err or args[-2] in err, err
+        assert not out.exists()
+
+    # The same check applies to a config file.
+    saved = tmp_path / "saved"
+    lc = ["forecast", "--synthetic", "20", "--model", "lc", "--components", "one"]
+    lc += ["--horizon-max", "1", "--replications", "10", "--lc-resample", "rows"]
+    assert main(lc + ["--out", str(saved)]) == 0
+    data = json.loads((saved / "config.json").read_text(encoding="utf-8"))
+    data["method"] = "ar_aic"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    rerun = tmp_path / "rerun"
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(edited), "--out", str(rerun)]) == 1
+    assert "--method" in capsys.readouterr().err
+    assert not rerun.exists()
+
+
+def test_configs_of_runs_that_read_their_model_options_still_load(tmp_path):
+    small_forecast = ["--synthetic", "20", "--components", "one", "--horizon-max", "1"]
+    small_forecast += ["--replications", "10"]
+    for i, args in enumerate(
+        (
+            ["forecast", "--model", "lc", "--lc-resample", "rows"] + small_forecast,
+            ["forecast", "--method", "ar_aic", "--bandwidth", "3", "--lags", "2",
+             "--dim", "1", "--no-force-residual-stage"] + small_forecast,
+            _SMALL_BACKTEST + ["--method", "ets_like", "--lags", "2"],
+            ["fit", "--synthetic", "20", "--bandwidth", "3", "--no-force-residual-stage"],
+            ["diagnose", "--synthetic", "20", "--kpss-permutations", "9", "--dim", "1"],
+        )
+    ):
+        first = tmp_path / f"{i}a"
+        second = tmp_path / f"{i}b"
+        assert main(args + ["--out", str(first)]) == 0, args
+        config = str(first / "config.json")
+        assert main([args[0], "--config", config, "--out", str(second)]) == 0, args
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        _same_files(first, second, names)
+
+
+def test_forecast_runs_on_a_table_that_closes_at_100(tmp_path):
+    rng = np.random.default_rng(8)
+    ages = np.arange(101)
+    lines = ["Year,Age,qx"]
+    for t in range(25):
+        qx = np.minimum(2e-4 * np.exp(0.09 * ages - 0.015 * t + 0.02 * rng.normal()), 0.9)
+        qx[-1] = 1.0
+        lines += [
+            f"{1990 + t},{age}{'+' if age == 100 else ''},{q:.6f}"
+            for age, q in zip(ages, qx)
+        ]
+    table = tmp_path / "lt100.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["forecast", "--input", str(table), "--components", "one"]
+    args += ["--horizon-max", "2", "--replications", "30", "--out", str(out)]
+    assert main(args) == 0
+    header, rows = _read_csv(out / "forecast_h02.csv")
+    assert [int(r[0]) for r in rows] == list(range(101))
+    for row in rows:
+        lo95, lo80, up80, up95 = (float(row[i]) for i in (4, 2, 3, 5))
+        assert 0.0 < lo95 <= lo80 <= up80 <= up95

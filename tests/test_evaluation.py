@@ -1,5 +1,6 @@
 """Coverage metrics and the expanding-window backtest harness."""
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from codaboot import (
     series_prefix,
     trapezoid_weights,
 )
+from codaboot.bootstrap import BootstrapForecast
 from codaboot.coda import clr
 from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for
 
@@ -269,6 +271,52 @@ def test_backtest_empty_bounds_cover_nothing():
         assert row.cpd_bar == pytest.approx(row.level)
 
 
+def test_windows_release_their_samples_before_the_next_window():
+    # Scoring reads only the bands, so a serial backtest must have let go
+    # of every earlier window's bootstrap samples by the time the next
+    # window starts.
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
+    earlier = []
+
+    def sampling(series, config, horizons, levels, rng_seed):
+        alive = [ref for ref in earlier if ref() is not None]
+        assert not alive, f"{len(alive)} earlier sample arrays still held"
+        rng = np.random.default_rng(rng_seed)
+        out = []
+        for h in range(1, horizons + 1):
+            samples = rng.uniform(0.0, 2.0 * series.radix, (40, series.grid.size))
+            lower, upper = np.quantile(samples, [0.1, 0.9], axis=0)
+            out.append(
+                BootstrapForecast(
+                    horizon=h,
+                    grid=series.grid,
+                    radix=series.radix,
+                    point=samples.mean(axis=0),
+                    samples=samples,
+                    levels=levels,
+                    lower={l: lower for l in levels},
+                    upper={l: upper for l in levels},
+                )
+            )
+            earlier.append(weakref.ref(samples))
+        return out
+
+    plan = BacktestPlan(
+        initial_window=24,
+        max_horizon=4,
+        levels=(0.8,),
+        configs=(MethodConfig(model="scripted", components="one"),),
+    )
+    MODEL_FORECASTERS["scripted"] = sampling
+    try:
+        report = run_backtest(grid, plan, rng_seed=5, n_jobs=1)
+    finally:
+        del MODEL_FORECASTERS["scripted"]
+    assert len(earlier) == sum(min(4, 30 - w) for w in range(24, 30))
+    assert all(ref() is None for ref in earlier)
+    np.testing.assert_array_equal(report.rows[0].window_counts, [6, 5, 4, 3])
+
+
 def test_backtest_is_reproducible_and_jobs_invariant():
     grid = make_factor_grid(n_years=26, n_ages=8, seed=3)
     plan = BacktestPlan(
@@ -282,11 +330,13 @@ def test_backtest_is_reproducible_and_jobs_invariant():
     )
     serial = run_backtest(grid, plan, rng_seed=11)
     repeat = run_backtest(grid, plan, rng_seed=11)
-    threaded = run_backtest(grid, plan, rng_seed=11, n_jobs=3)
-    for a, b in ((serial, repeat), (serial, threaded)):
-        for row_a, row_b in zip(a.rows, b.rows):
+    threaded = [run_backtest(grid, plan, rng_seed=11, n_jobs=j) for j in (2, 3)]
+    for other in (repeat, *threaded):
+        assert len(other.rows) == len(serial.rows)
+        for row_a, row_b in zip(serial.rows, other.rows):
             np.testing.assert_array_equal(row_a.ecp_by_horizon, row_b.ecp_by_horizon)
             assert row_a.ecp_bar == row_b.ecp_bar
+            assert row_a.cpd_bar == row_b.cpd_bar
 
 
 def test_backtest_layout_validation():

@@ -126,10 +126,10 @@ def test_survivorship_sums_to_radix_even_without_terminal_closure_in_qx():
         assert np.all(deaths >= 0.0)
 
 
-def _full_rows(year, qx_flat):
-    qx = np.full(111, qx_flat)
+def _full_rows(year, qx_flat, terminal=110):
+    qx = np.full(terminal + 1, qx_flat)
     qx[-1] = 1.0
-    return [LifeTableRow(year, age, qx[age]) for age in range(111)]
+    return [LifeTableRow(year, age, qx[age]) for age in range(terminal + 1)]
 
 
 def test_rebuild_matches_closed_form_geometric_table():
@@ -171,6 +171,31 @@ def test_rebuild_rejects_duplicate_age():
 def test_rebuild_rejects_missing_age():
     rows = [r for r in _full_rows(2000, 0.05) if r.age != 30]
     with pytest.raises(CompletenessError, match="2000"):
+        rebuild_deaths(rows)
+
+
+def test_rebuild_takes_the_terminal_age_from_the_rows():
+    # A table that closes with "100+" rebuilds on ages 0..100, with the
+    # open group absorbing the tail as the 110+ tables do.
+    text = "Year Age qx\n" + "".join(
+        f"{year} {age}{'+' if age == 100 else ''} {1.0 if age == 100 else 0.05}\n"
+        for year in (2000, 2001)
+        for age in range(101)
+    )
+    grid = rebuild_deaths(parse_lifetable(io.StringIO(text)))
+    assert grid.ages.tolist() == list(range(101))
+    expected = [100000.0 * 0.05 * 0.95**u for u in range(100)] + [100000.0 * 0.95**100]
+    np.testing.assert_allclose(grid.deaths, [expected, expected], rtol=0, atol=1e-4)
+    rows = _full_rows(2000, 0.05, terminal=100) + _full_rows(2001, 0.05, terminal=100)
+    np.testing.assert_array_equal(grid.deaths, rebuild_deaths(rows).deaths)
+
+
+def test_rebuild_rejects_years_with_different_terminal_ages():
+    rows = _full_rows(2000, 0.05, terminal=100) + _full_rows(2001, 0.05)
+    with pytest.raises(CompletenessError, match="2000.*0..110"):
+        rebuild_deaths(rows)
+    rows = _full_rows(2000, 0.05) + _full_rows(2001, 0.05, terminal=100)
+    with pytest.raises(CompletenessError, match="2001"):
         rebuild_deaths(rows)
 
 
