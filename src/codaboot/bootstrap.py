@@ -148,13 +148,110 @@ def _drift_every_prefix(scores, h_max):
     return scores.T[..., None] + drift.T[..., None] * np.arange(1, h_max + 1)
 
 
+def _ar_aic_batched(x, h_max):
+    """AR-AIC forecasts of every prefix of every row of ``x``.
+
+    ``x`` is a ``(k, n)`` stack.  Returns ``(table, order, fallback)``:
+    ``table[j, i]`` holds the ``1 .. h_max`` step forecasts of
+    ``x[j, : i + 1]`` as :func:`_forecast_ar_aic` defines them,
+    ``order[j, i]`` the AR order AIC selected for it, and
+    ``fallback[j, i]`` whether that prefix was fitted by
+    :func:`_forecast_ar_aic` itself (its ``order`` is then -1).
+
+    Every prefix's demeaned lag Gram matrix, for every order, is a
+    difference of running sums of the lag products ``z_s z_{s+d}`` and of
+    ``z_s`` (``z`` is the row less its full mean), corrected for the
+    prefix mean; one batched ``solve`` per order fits all prefixes, and
+    one recursion over zero-padded coefficients forecasts them.  These
+    sums round differently from a least-squares fit of each prefix, so a
+    prefix is handed to :func:`_forecast_ar_aic` wherever that rounding
+    could change the selected order or visibly move a forecast: when
+    some candidate order has fewer than ``p + 3`` targets, a lag Gram
+    matrix has eigenvalue ratio at most ``1e-4``, a residual sum of
+    squares is at most ``1e-4`` of its target sum of squares, a target
+    sum of squares is at most ``1e-3`` of the raw sum of squares that the
+    running sums cancel down to it, the two best AICs lie within
+    ``1e-6``, or a forecast strays from the prefix mean by more than ten
+    times the prefix's largest deviation from it.
+    """
+    k, n = x.shape
+    p_max = _AR_MAX_ORDER
+    mean = np.cumsum(x, axis=1) / np.arange(1, n + 1)
+    coef = np.zeros((k, n, p_max))
+    order = np.full((k, n), -1)
+    fallback = np.ones((k, n), dtype=bool)
+    # Prefixes shorter than 2p + 3 leave order p fewer than p + 3 targets.
+    m = np.arange(2 * p_max + 3, n + 1)
+    if m.size:
+        z = x - x.mean(axis=1, keepdims=True)
+        z_sum = np.zeros((k, n + 1))
+        np.cumsum(z, axis=1, out=z_sum[:, 1:])
+        # lag_sum[d][:, u] is the sum of z_s z_{s+d} over s < u.
+        lag_sum = np.zeros((p_max + 1, k, n + 1))
+        for d in range(p_max + 1):
+            np.cumsum(z[:, : n - d] * z[:, d:], axis=1, out=lag_sum[d, :, 1 : n + 1 - d])
+        mu = z_sum[:, m] / m
+        energy = lag_sum[0][:, m]
+        aic = np.empty((k, m.size, p_max + 1))
+        fitted = np.zeros((p_max + 1, k, m.size, p_max))
+        suspect = np.zeros((k, m.size), dtype=bool)
+        for p in range(p_max + 1):
+            n_eff = m - p
+            # Demeaned products of lags a, b over the targets t = p .. m - 1.
+            span = [z_sum[:, m - a] - z_sum[:, p - a, None] for a in range(p + 1)]
+            gram = np.empty((k, m.size, p + 1, p + 1))
+            for a in range(p + 1):
+                for b in range(a, p + 1):
+                    raw = lag_sum[b - a][:, m - b] - lag_sum[b - a][:, p - b, None]
+                    gram[..., a, b] = gram[..., b, a] = (
+                        raw - mu * (span[a] + span[b]) + n_eff * mu * mu
+                    )
+            yy = gram[..., 0, 0]
+            rss = yy
+            if p:
+                lagged = gram[..., 1:, 1:]
+                rhs = gram[..., 1:, 0]
+                eig = np.linalg.eigvalsh(lagged)
+                ill = eig[..., 0] <= 1e-4 * eig[..., -1]
+                suspect |= ill
+                lagged[ill] = np.eye(p)
+                c = np.linalg.solve(lagged, rhs[..., None])[..., 0]
+                fitted[p, ..., :p] = c
+                rss = yy - np.einsum("...i,...i->...", c, rhs)
+            suspect |= (rss <= 1e-4 * yy) | (yy <= 1e-3 * energy)
+            sigma2 = np.maximum(rss / n_eff, 1e-300)
+            aic[..., p] = n_eff * np.log(sigma2) + 2.0 * (p + 1)
+        best = aic.argmin(axis=2)
+        two = np.partition(aic, 1, axis=2)
+        suspect |= two[..., 1] - two[..., 0] <= 1e-6
+        best[suspect] = 0
+        coef[:, m - 1] = np.take_along_axis(fitted, best[None, ..., None], axis=0)[0]
+        order[:, m - 1] = best
+        fallback[:, m - 1] = suspect
+
+    # history[..., p_max - 1 - j] holds the demeaned value j steps before
+    # the prefix end; each step appends its forecast.  A recursion that
+    # overflows strays too far and falls back below.
+    history = np.zeros((k, n, p_max + h_max))
+    for j in range(min(p_max, n)):
+        history[:, j:, p_max - 1 - j] = x[:, : n - j] - mean[:, j:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(h_max):
+            recent = history[..., h : h + p_max][..., ::-1]
+            history[..., p_max + h] = np.einsum("...i,...i->...", coef, recent)
+    spread = np.maximum(
+        np.maximum.accumulate(x, axis=1) - mean, mean - np.minimum.accumulate(x, axis=1)
+    )
+    fallback |= ~(np.abs(history[..., p_max:]).max(axis=2) <= 10.0 * spread)
+    order[fallback] = -1
+    table = mean[..., None] + history[..., p_max:]
+    for j, i in zip(*np.nonzero(fallback)):
+        table[j, i] = _forecast_ar_aic(x[j, : i + 1], h_max)
+    return table, order, fallback
+
+
 def _ar_aic_every_prefix(scores, h_max):
-    n, k = scores.shape
-    table = np.empty((k, n, h_max))
-    for j in range(k):
-        for i in range(n):
-            table[j, i] = _forecast_ar_aic(scores[: i + 1, j], h_max)
-    return table
+    return _ar_aic_batched(scores.T, h_max)[0]
 
 
 def _ets_every_prefix(scores, h_max):
@@ -165,7 +262,15 @@ def _ets_every_prefix(scores, h_max):
 # Prefix forecast tables by method: ``table(scores, h_max)[j, i]`` holds
 # the ``1 .. h_max`` step forecasts of column ``j`` of the ``(n, k)``
 # ``scores`` from its first ``i + 1`` values, down to a single value,
-# which every method extrapolates flat.
+# which every method extrapolates flat.  The drift and ETS tables equal
+# their scalar fits bit for bit.  The AR-AIC table solves every prefix's
+# normal equations from running lag sums and hands a prefix to the scalar
+# least-squares fit when some candidate order has fewer than p + 3
+# targets, a lag Gram matrix has eigenvalue ratio at most 1e-4, a residual
+# sum of squares is at most 1e-4 of its target's, a target sum of squares
+# is at most 1e-3 of the raw sum it was cancelled from, the two best AICs
+# lie within 1e-6, or a forecast strays from the prefix mean by more than
+# ten times the prefix's largest deviation from it.
 _PREFIX_TABLES = {
     "random_walk_drift": _drift_every_prefix,
     "ar_aic": _ar_aic_every_prefix,
@@ -221,6 +326,12 @@ def build_error_pools(
         average historical step and suits integrated scores;
         ``"ar_aic"`` fits an autoregression with the order (up to 5)
         chosen by AIC and reverts to the mean, for stationary scores;
+        every prefix is fitted in one pass of :func:`_ar_aic_batched`,
+        from running sums of lag products, and a prefix whose fit that
+        rounding could change (a short prefix, an ill-conditioned or
+        near-exact fit, an AIC near-tie, a runaway forecast) is refitted
+        alone by least squares, so the selected orders are the scalar
+        ones and the forecasts agree with them to rounding;
         ``"ets_like"`` extrapolates the level and trend of an
         additive-trend exponential smoother, every prefix fitted in one
         pass of :func:`_fit_ets_prefixes`.

@@ -106,7 +106,8 @@ def _method_config(config):
 
 
 # The option that sets each model setting.  The factor model reads its
-# score method only when it forecasts, and Lee-Carter runs only there.
+# score method only when it forecasts, and Lee-Carter runs only there:
+# fit and diagnose reject it before they do any work.
 _MODEL_OPTIONS = {
     "method": "--method",
     "bandwidth": "--bandwidth",
@@ -123,6 +124,11 @@ def _check_model_options(config):
     if config.subcommand not in _FORECASTING + ("diagnose", "fit"):
         return
     forecasting = config.subcommand in _FORECASTING
+    if config.model != "dfm" and not forecasting:
+        raise ConfigurationError(
+            f"{config.subcommand} runs the factor model only, got model"
+            f" {config.model!r}"
+        )
     if config.model == "lc":
         used = {"lc_resample"} if forecasting else set()
     else:

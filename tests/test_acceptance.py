@@ -31,15 +31,26 @@ from codaboot import (
     inverse_clr,
     long_run_covariance,
     make_factor_grid,
+    make_synthetic_grid,
     parse_lifetable,
     rebuild_deaths,
     run_backtest,
     trapezoid_weights,
 )
+from codaboot.bootstrap import (
+    _PREFIX_TABLES,
+    _ar_aic_batched,
+    _fit_ar_aic,
+    _forecast_ar_aic,
+)
 from codaboot.cli import main
 from codaboot.evaluation import MODEL_FORECASTERS
 
 RADIX = 100000.0
+
+# Interval tolerance of the batched AR-AIC prefix fits: every band within
+# this fraction of the radix of the per-prefix least-squares path.
+AR_BAND_TOLERANCE = 1e-9
 
 
 def _verdict(capsys, name, ok, detail):
@@ -247,6 +258,87 @@ def test_synthetic_calibration_with_a_realistic_infant_share(capsys):
         ok,
         f"infant share {share.min():.3f}-{share.max():.3f}, ecp {achieved:.4f},"
         f" plain-sum holdouts {plain:.4f}",
+    )
+
+
+def _per_prefix_ar_aic(scores, h_max):
+    """The reference AR-AIC table: every prefix of every score column
+    fitted alone by least squares."""
+    n, k = scores.shape
+    table = np.empty((k, n, h_max))
+    for j in range(k):
+        for i in range(n):
+            table[j, i] = _forecast_ar_aic(scores[: i + 1, j], h_max)
+    return table
+
+
+def _ar_bands(grid):
+    """Every band of a bootstrap path and of a backtest at one and two
+    workers on ``grid``, with AR-AIC on the residual scores alone and on
+    both score groups."""
+    fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+    bands = {}
+    for primary in ("random_walk_drift", "ar_aic"):
+        path = bootstrap_forecast_path(
+            fit, 8, n_samples=200, rng_seed=1, primary_method=primary
+        )
+        for fc in path:
+            bands[("path", primary, fc.horizon)] = (fc.lower, fc.upper)
+
+    plan = BacktestPlan(
+        initial_window=grid.n_years - 2,
+        max_horizon=2,
+        configs=tuple(
+            MethodConfig(n_samples=200, primary_method=primary)
+            for primary in ("random_walk_drift", "ar_aic")
+        ),
+    )
+    forecast_dfm = MODEL_FORECASTERS["dfm"]
+
+    def recording(series, config, horizons, levels, rng_seed):
+        out = forecast_dfm(series, config, horizons, levels, rng_seed)
+        for h, fc in enumerate(out, start=1):
+            key = (n_jobs, config.primary_method, series.n, h)
+            bands[key] = (fc.lower, fc.upper)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(MODEL_FORECASTERS, "dfm", recording)
+        for n_jobs in (1, 2):
+            run_backtest(grid, plan, rng_seed=5, n_jobs=n_jobs)
+    return fit, bands
+
+
+def test_batched_ar_fits_keep_bands_within_the_stated_tolerance(capsys, monkeypatch):
+    # The same runs with the batched AR-AIC table and with the per-prefix
+    # least-squares reference: bands within AR_BAND_TOLERANCE of the radix,
+    # and the same AR order wherever the batched fit kept its own.
+    dev = 0.0
+    n_bands = 0
+    orders_same = True
+    for grid in (make_factor_grid(40, 31, seed=3), make_synthetic_grid(40, seed=4)):
+        fit, batched = _ar_bands(grid)
+        with monkeypatch.context() as patch:
+            patch.setitem(_PREFIX_TABLES, "ar_aic", _per_prefix_ar_aic)
+            _, reference = _ar_bands(grid)
+        assert batched.keys() == reference.keys()
+        for key, (lower, upper) in batched.items():
+            for level in lower:
+                for ours, theirs in ((lower, reference[key][0]), (upper, reference[key][1])):
+                    gap = np.max(np.abs(ours[level] - theirs[level])) / grid.radix
+                    dev = max(dev, float(gap))
+                    n_bands += 1
+        for scores in (fit.primary_scores, fit.residual_scores):
+            _, order, fallback = _ar_aic_batched(scores.T, 1)
+            for j, i in zip(*np.nonzero(~fallback)):
+                orders_same &= order[j, i] == _fit_ar_aic(scores[: i + 1, j])[1].size
+    ok = dev <= AR_BAND_TOLERANCE and orders_same
+    _verdict(
+        capsys,
+        "batched-ar-tolerance",
+        ok,
+        f"{n_bands} bands, max |dev| / radix {dev:.1e}, AR orders"
+        f" {'identical' if orders_same else 'differ'}",
     )
 
 

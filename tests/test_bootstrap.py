@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +27,8 @@ from codaboot.bootstrap import (
     _ETS_GRID,
     _PREFIX_TABLES,
     SCORE_METHODS,
+    _ar_aic_batched,
+    _fit_ar_aic,
     _fit_ets_prefixes,
     _forecast_ar_aic,
 )
@@ -229,17 +231,109 @@ def test_error_pool_is_zero_when_the_forecaster_is_exact():
     assert pool[0] == pytest.approx(2.0)  # length-one prefix forecasts flat
 
 
+def _ar_tolerance(x):
+    """How far a batched AR-AIC forecast of ``x`` or of its prefixes may
+    sit from the per-prefix least-squares fit: 1e-10 of the series' scale,
+    with a tiny floor for an all-zero series."""
+    return 1e-10 * float(np.max(np.abs(x))) + 1e-300
+
+
 @settings(max_examples=30, deadline=None)
 @given(x=_finite_series(5, 80), method=st.sampled_from(SCORE_METHODS), data=st.data())
 def test_pools_and_central_forecasts_come_from_the_prefix_forecasts(x, method, data):
     h_max = data.draw(st.integers(1, min(4, x.size - 3)), label="max_horizon")
     pools = build_error_pools(_single_series_fit(x), h_max, primary_method=method)
-    np.testing.assert_array_equal(pools.primary_central[:, 0], _ORACLES[method](x, h_max))
+    if method == "ar_aic":
+        # Fitted from running sums, so equal to the scalar fits only
+        # within the stated bound; the other methods replay them exactly.
+        def check(actual, expected):
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=_ar_tolerance(x))
+    else:
+        check = np.testing.assert_array_equal
+    check(pools.primary_central[:, 0], _ORACLES[method](x, h_max))
     for h in range(1, h_max + 1):
         expected = [
             x[t] - _ORACLES[method](x[: t - h + 1], h)[-1] for t in range(h, x.size)
         ]
-        np.testing.assert_array_equal(pools.primary[h - 1][:, 0], expected)
+        check(pools.primary[h - 1][:, 0], expected)
+
+
+@st.composite
+def _score_stacks(draw):
+    """``(n, k)`` score stacks of the kinds that stress the batched AR fit:
+    free values, constant columns, near-collinear lags (sinusoids, each
+    an exact AR(2), plus faint noise) and random walks."""
+    n = draw(st.integers(1, 120), label="n")
+    k = draw(st.integers(1, 6), label="k")
+    kind = draw(st.sampled_from(("free", "constant", "near_collinear", "random_walk")))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    if kind == "free":
+        return draw(arrays(np.float64, (n, k), elements=value))
+    if kind == "constant":
+        return np.tile(draw(arrays(np.float64, k, elements=value)), (n, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "near_collinear":
+        noise = 10.0 ** draw(st.floats(-9.0, -1.0), label="log10 noise")
+        waves = np.sin(np.outer(np.arange(n), rng.uniform(0.1, 3.0, k)))
+        return waves + noise * rng.normal(size=(n, k))
+    return np.cumsum(rng.normal(size=(n, k)), axis=0)
+
+
+def _flat_then_noisy():
+    # Some prefixes here select explosive AR fits whose forecasts grow by
+    # orders of magnitude and magnify any rounding in the coefficients.
+    x = np.full(44, 5.0)
+    x[22:] += np.random.default_rng(1).normal(size=22)
+    return x[:, None]
+
+
+def _steep_trend():
+    # Near-collinear lags of a steep power trend: ill-conditioned Gram
+    # matrices with clearly nonzero residuals.
+    t = np.arange(60.0)
+    return (-0.2 * t**2.5 + np.random.default_rng(5).normal(size=60))[:, None]
+
+
+def _twice_integrated():
+    # Prefix means far from the full mean: the running sums cancel most
+    # of their digits on the way to the demeaned Gram matrices.
+    steps = np.random.default_rng(5).normal(size=100)
+    return np.cumsum(np.cumsum(steps))[:, None]
+
+
+@settings(max_examples=25, deadline=None)
+@given(scores=_score_stacks(), h_max=st.integers(1, 25))
+@example(scores=_flat_then_noisy(), h_max=20)
+@example(scores=_steep_trend(), h_max=20)
+@example(scores=_twice_integrated(), h_max=20)
+def test_batched_ar_aic_table_matches_the_scalar_fit_of_every_prefix(scores, h_max):
+    table, order, fallback = _ar_aic_batched(scores.T, h_max)
+    np.testing.assert_array_equal(table, _PREFIX_TABLES["ar_aic"](scores, h_max))
+    n, k = scores.shape
+    assert table.shape == (k, n, h_max)
+    for j in range(k):
+        x = scores[:, j]
+        for i in range(n):
+            expected = _forecast_ar_aic(x[: i + 1], h_max)
+            if fallback[j, i]:
+                np.testing.assert_array_equal(table[j, i], expected)
+                assert order[j, i] == -1
+            else:
+                np.testing.assert_allclose(
+                    table[j, i], expected, rtol=0, atol=_ar_tolerance(x)
+                )
+                assert order[j, i] == _fit_ar_aic(x[: i + 1])[1].size
+
+
+def test_only_short_prefixes_of_white_noise_fall_back_to_the_scalar_fit():
+    # Below 2 * 5 + 3 values some candidate order has fewer than p + 3
+    # targets, so the running sums are never trusted there; every longer
+    # prefix of a well-conditioned series is fitted in the batched pass.
+    x = np.random.default_rng(3).normal(size=(2, 40))
+    _, order, fallback = _ar_aic_batched(x, 3)
+    assert fallback[:, :12].all()
+    assert not fallback[:, 12:].any()
+    assert (order[:, 12:] >= 0).all()
 
 
 def _fixture_fit(seed=2, n=40, d=10, residual=1):

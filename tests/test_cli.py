@@ -391,6 +391,32 @@ def test_factor_model_subcommands_reject_the_lee_carter_model(tmp_path, capsys):
     assert not rerun.exists()
 
 
+def test_diagnose_rejects_the_lee_carter_model_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    saved = tmp_path / "saved"
+    assert main(["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
+                 "--out", str(saved)]) == 0
+    data = json.loads((saved / "config.json").read_text(encoding="utf-8"))
+    data["model"] = "lc"
+    edited = tmp_path / "lc.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+
+    def no_kpss(*args, **kwargs):
+        raise AssertionError("the KPSS permutations ran before the model check")
+
+    monkeypatch.setattr(cli, "functional_kpss_pvalue", no_kpss)
+    for args in (
+        ["diagnose", "--synthetic", "20", "--model", "lc"],
+        ["diagnose", "--config", str(edited)],
+    ):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 1, args
+        assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
+        assert not out.exists()
+
+
 def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
     # Each option here would leave every output but config.json unchanged.
     for i, args in enumerate(
