@@ -21,6 +21,7 @@ order), one per residual component, then the residual-curve row indices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,15 @@ _AR_MAX_ORDER = 5
 # the fit deterministic to the bit across platforms and is plenty for a
 # two-parameter least-squares surface.
 _ETS_GRID = np.linspace(0.05, 1.0, 20)
+
+
+def _check_integer(value, name, error=DomainError):
+    """``value`` as an ``int``; a float, even an integral one, raises
+    ``error`` instead of being truncated.  Python and numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_method(method):
@@ -342,7 +352,7 @@ def build_error_pools(
     """
     _check_method(primary_method)
     _check_method(residual_method)
-    h_max = int(max_horizon)
+    h_max = _check_integer(max_horizon, "max_horizon")
     n = fit.n
     if h_max < 1:
         raise DomainError(f"max_horizon must be at least 1, got {max_horizon}")
@@ -454,8 +464,8 @@ def assemble_forecast(
     -------
     BootstrapForecast
     """
-    h = int(horizon)
-    b = int(n_samples)
+    h = _check_integer(horizon, "horizon")
+    b = _check_integer(n_samples, "n_samples")
     if h < 1:
         raise DomainError(f"horizon must be at least 1, got {horizon}")
     if b < 1:

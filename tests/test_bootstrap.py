@@ -496,6 +496,22 @@ def test_assemble_forecast_validation():
         assemble_forecast(pools, horizon=3, n_samples=10)
 
 
+def test_non_integral_counts_fail_instead_of_truncating():
+    fit = _fixture_fit()
+    with pytest.raises(DomainError, match="max_horizon must be an integer"):
+        build_error_pools(fit, 2.5)
+    with pytest.raises(DomainError, match="max_horizon must be an integer"):
+        build_error_pools(fit, np.float64(2.0))
+    pools = build_error_pools(fit, np.int64(2))
+    assert pools.max_horizon == 2
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        assemble_forecast(pools, horizon=1.5, n_samples=10)
+    with pytest.raises(DomainError, match="n_samples must be an integer"):
+        assemble_forecast(pools, horizon=1, n_samples=10.7)
+    fc = assemble_forecast(pools, horizon=np.int32(2), n_samples=np.int64(10))
+    assert fc.horizon == 2 and fc.samples.shape[0] == 10
+
+
 def test_path_shares_pools_and_spawned_seeds():
     fit = _fixture_fit()
     path = bootstrap_forecast_path(fit, max_horizon=3, n_samples=150, rng_seed=42)

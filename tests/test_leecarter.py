@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codaboot import (
     ClrSeries,
@@ -79,9 +81,79 @@ def test_fit_lc_validation():
         fit_lc(series.values, 1)
 
 
+def test_fit_lc_rejects_a_non_integral_component_count():
+    series = _rank1_series(n=6, d=4)
+    for count in (1.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(RankError, match="must be an integer"):
+            fit_lc(series, count)
+    assert fit_lc(series, np.int64(2)).n_components == 2
+
+
+@st.composite
+def _pseudo_sample_stacks(draw, wide):
+    """A ``(B, n, D)`` stack with ``n < D`` when ``wide``, else ``n >= D``,
+    and a component count; some stacks carry one slice whose centred rank
+    is below the count."""
+    if wide:
+        n = draw(st.integers(2, 12), label="n")
+        d = draw(st.integers(n + 1, 14), label="D")
+    else:
+        d = draw(st.integers(2, 12), label="D")
+        n = draw(st.integers(d, 14), label="n")
+    b = draw(st.integers(1, 4), label="B")
+    k = draw(st.integers(1, min(n, d)), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0), label="log10 scale")
+    decay = draw(st.floats(0.0, 8.0), label="spectral decay")
+    stack = rng.normal(size=(b, n, d)) * np.exp(-decay * np.arange(d) / d) * scale
+    deficient = None
+    if k > 1 and draw(st.booleans(), label="rank-deficient slice"):
+        deficient = draw(st.integers(0, b - 1), label="slice")
+        rank = draw(st.integers(1, k - 1), label="rank")
+        stack[deficient] = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) * scale
+    return stack + rng.normal(size=d), k, deficient
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["n<D", "n>=D"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_decomposition_matches_the_svd_of_each_slice(wide, data):
+    # Means are identical.  Components agree within 1e-13 * λ_1 / δ_j and
+    # scores within σ_1 times that, δ_j being the distance of λ_j = σ_j²
+    # to its nearest neighbour (λ_{m+1} = 0): the eigenvector perturbation
+    # bound, about 450 ε.  Fallback slices, rank-deficient ones included,
+    # equal the SVD to the bit, and no slice depends on its stack.
+    stack, k, deficient = data.draw(_pseudo_sample_stacks(wide))
+    means, components, scores, fallback = leecarter._decompose_stack(stack.copy(), k)
+    if deficient is not None:
+        assert fallback[deficient]
+    for i, values in enumerate(stack):
+        mean, comp, sc = leecarter._decompose(values, k)
+        np.testing.assert_array_equal(means[i], mean)
+        alone = leecarter._decompose_stack(values[None].copy(), k)
+        for part, got in zip(alone, (means, components, scores, fallback)):
+            np.testing.assert_array_equal(part[0], got[i])
+        if fallback[i]:
+            np.testing.assert_array_equal(components[i], comp)
+            np.testing.assert_array_equal(scores[i], sc)
+            continue
+        singular = np.linalg.svd(values - mean, compute_uv=False)
+        lam = np.append(singular**2, 0.0)
+        for j in range(k):
+            above = lam[j - 1] - lam[j] if j else np.inf
+            bound = 1e-13 * lam[0] / min(above, lam[j] - lam[j + 1])
+            np.testing.assert_allclose(components[i, j], comp[j], rtol=0, atol=bound)
+            np.testing.assert_allclose(
+                scores[i, :, j], sc[:, j], rtol=0, atol=bound * singular[0]
+            )
+
+
 def test_bootstrap_replicates_follow_the_documented_recipe():
-    # Re-run the documented per-replicate algorithm with the same seed and
-    # compare every sample curve bit for bit.
+    # Re-run the documented per-replicate algorithm, refitting each
+    # pseudo-sample by its own SVD, with the same seed, and compare every
+    # sample curve within 1e-10 (absolute; the radix is 1000).  The path
+    # refits a block of pseudo-samples from its Gram eigenpairs, which
+    # rounds differently from the SVD.
     rng0 = np.random.default_rng(14)
     grid = np.arange(6.0)
     series = _centred_series(
@@ -211,3 +283,15 @@ def test_bootstrap_validation():
         lc_bootstrap_path(fit, 2, levels=(0.0,))
     with pytest.raises(DomainError):
         lc_bootstrap_path(fit, 0)
+
+
+def test_bootstrap_rejects_non_integral_counts():
+    fit = fit_lc(_rank1_series(), 1)
+    with pytest.raises(DomainError, match="max_horizon must be an integer"):
+        lc_bootstrap_path(fit, 2.5, n_samples=10)
+    with pytest.raises(DomainError, match="n_samples must be an integer"):
+        lc_bootstrap_path(fit, 2, n_samples=10.7)
+    with pytest.raises(DomainError, match="n_samples must be an integer"):
+        lc_bootstrap_path(fit, 2, n_samples=np.float64(10.0))
+    path = lc_bootstrap_path(fit, np.int32(2), n_samples=np.int64(10))
+    assert [fc.samples.shape[0] for fc in path] == [10, 10]
