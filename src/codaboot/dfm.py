@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coda import ClrSeries
-from .errors import DomainError, InsufficientDataError, RankError
+from .errors import DomainError, InsufficientDataError, RankError, check_integer
 from .fts import (
     EigenBasis,
     IndependenceResult,
@@ -68,7 +68,7 @@ def component_counts(policy):
             raise DomainError(
                 f"policy must be 'one', 'six' or a positive integer, got {policy!r}"
             ) from None
-    k = int(policy)
+    k = check_integer(policy, "policy")
     if k < 1:
         raise DomainError(f"explicit component count must be positive, got {k}")
     return ComponentCounts(k, k)
@@ -170,8 +170,8 @@ def fit_dfm(
     n, d = series.values.shape
     if n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {n}")
-    r = int(n_primary)
-    q = int(n_residual)
+    r = check_integer(n_primary, "n_primary")
+    q = check_integer(n_residual, "n_residual")
     if r < 1:
         raise DomainError(f"n_primary must be at least 1, got {n_primary}")
     if q < 0:

@@ -1,11 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check.
 
 Everything derives from :class:`CodabootError`, which is itself a
 ``ValueError`` so that callers who do not care about the distinction can
-catch a single builtin type.
+catch a single builtin type.  :func:`check_integer` is the one place a
+count argument is validated, so that no entry point truncates a float.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class CodabootError(ValueError):
@@ -56,3 +59,12 @@ class DegenerateInputError(CodabootError):
 
 class ConfigurationError(CodabootError):
     """A configuration value or combination of values is invalid."""
+
+
+def check_integer(value, name, error=DomainError):
+    """``value`` as an ``int``; a float, even an integral one, raises
+    ``error`` instead of being truncated.  Python and numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

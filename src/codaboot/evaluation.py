@@ -23,7 +23,7 @@ import numpy as np
 from .coda import ClrSeries, clr, trapezoid_weights
 from .dfm import component_counts, fit_dfm
 from .bootstrap import _check_levels, bootstrap_forecast_path
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_integer
 from .leecarter import fit_lc, lc_bootstrap_path
 from .lifetable import LifeTableGrid
 
@@ -49,8 +49,8 @@ def ecp(holdouts, lowers, uppers, horizon, max_horizon):
         strictly below its lower bound or strictly above its upper
         bound; values on a bound count as covered.
     """
-    h = int(horizon)
-    h_max = int(max_horizon)
+    h = check_integer(horizon, "horizon")
+    h_max = check_integer(max_horizon, "max_horizon")
     if h < 1 or h > h_max:
         raise DomainError(f"horizon must be in [1, {h_max}], got {horizon}")
     d = np.atleast_2d(np.asarray(holdouts, dtype=float))
@@ -102,11 +102,14 @@ class BacktestPlan:
     configs: tuple = (MethodConfig(),)
 
     def __post_init__(self):
-        if int(self.initial_window) < 10:
+        for name in ("initial_window", "max_horizon"):
+            value = check_integer(getattr(self, name), name, ConfigurationError)
+            object.__setattr__(self, name, value)
+        if self.initial_window < 10:
             raise ConfigurationError(
                 f"initial_window must be at least 10, got {self.initial_window}"
             )
-        if int(self.max_horizon) < 1:
+        if self.max_horizon < 1:
             raise ConfigurationError(
                 f"max_horizon must be at least 1, got {self.max_horizon}"
             )
@@ -221,11 +224,12 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     """
     if not isinstance(grid, LifeTableGrid):
         raise DomainError("grid must be a LifeTableGrid")
-    if int(n_jobs) < 1:
+    n_jobs = check_integer(n_jobs, "n_jobs", ConfigurationError)
+    if n_jobs < 1:
         raise ConfigurationError(f"n_jobs must be at least 1, got {n_jobs}")
     n = grid.n_years
-    w0 = int(plan.initial_window)
-    h_max = int(plan.max_horizon)
+    w0 = plan.initial_window
+    h_max = plan.max_horizon
     if w0 + h_max > n:
         raise ConfigurationError(
             f"initial_window + max_horizon must not exceed {n} years,"
@@ -270,8 +274,8 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
             tasks.append((ci, wi, plan.configs[ci], window, window_seqs[wi]))
 
     results = {}
-    if int(n_jobs) > 1:
-        with ThreadPoolExecutor(max_workers=int(n_jobs)) as pool:
+    if n_jobs > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             futures = {
                 pool.submit(run_window, config, window, seed): (ci, wi)
                 for ci, wi, config, window, seed in tasks

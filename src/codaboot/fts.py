@@ -8,15 +8,18 @@ diagnostics: a permutation test of trend stationarity in the KPSS family
 and a portmanteau test of serial independence.  One lag product, with
 divisor ``m`` at every lag, serves the long-run covariance surface, the
 long-run variance of the stationarity statistic (its diagonal alone) and
-the lag covariances of the portmanteau scores.
+the lag covariances of the portmanteau scores.  The portmanteau p-value
+is the chi-square upper tail, which for the test's integer degrees of
+freedom has a finite closed form (Abramowitz and Stegun 26.4.4-26.4.5)
+evaluated here with the standard library alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .coda import ClrSeries, trapezoid_weights
 from .errors import (
@@ -25,6 +28,7 @@ from .errors import (
     InsufficientDataError,
     RankError,
     ShapeError,
+    check_integer,
 )
 
 
@@ -241,7 +245,7 @@ def fpca(surface, n_components):
     scale = max(1.0, float(np.max(np.abs(values))))
     if np.max(np.abs(values - values.T)) > 1e-10 * scale:
         raise DomainError("surface must be symmetric")
-    k = int(n_components)
+    k = check_integer(n_components, "n_components", RankError)
     if k < 1 or k > d:
         raise RankError(f"n_components must be in [1, {d}], got {n_components}")
 
@@ -345,6 +349,7 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
         The observed statistic and the permutation p-value
         ``(1 + #{permuted >= observed}) / (1 + n_permutations)``.
     """
+    n_permutations = check_integer(n_permutations, "n_permutations")
     if n_permutations < 1:
         raise DomainError("need at least one permutation")
     if series.n < 10:
@@ -354,11 +359,11 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
     observed = _kpss_from_values(series.values, weights, bandwidth)
     rng = np.random.default_rng(seed)
     exceed = 0
-    for _ in range(int(n_permutations)):
+    for _ in range(n_permutations):
         shuffled = series.values[rng.permutation(series.n)]
         if _kpss_from_values(shuffled, weights, bandwidth) >= observed:
             exceed += 1
-    return observed, (1 + exceed) / (1 + int(n_permutations))
+    return observed, (1 + exceed) / (1 + n_permutations)
 
 
 @dataclass(frozen=True)
@@ -382,6 +387,35 @@ class IndependenceResult:
         return not self.degenerate and self.p_value < level
 
 
+def _chi2_upper_tail(x, df):
+    """Upper tail ``P(X > x)`` of a chi-square law with integer ``df``.
+
+    Abramowitz and Stegun 26.4.4-26.4.5 give it in closed form: with
+    ``y = x / 2``, the tail is ``exp(-y) * sum_j y^j / j!`` over
+    ``j = 0 .. df/2 - 1`` for even ``df``, and ``erfc(sqrt(y))`` plus
+    the same sum over the half-integers ``j = 1/2 .. (df - 2)/2`` for
+    odd ``df`` (``j!`` meaning ``Gamma(j + 1)``).  The terms are summed
+    in the log domain, shifted by the largest, so that a tail below the
+    smallest normal double (about 2.2e-308) still comes out as a
+    subnormal instead of underflowing early; ``scipy.special.chdtrc``
+    returns 0 once the tail falls below about 1e-311.  ``x <= 0``
+    gives 1.
+    """
+    y = x / 2.0
+    if y <= 0.0:  # also a subnormal x whose half underflows
+        return 1.0
+    start = 0.5 * (df % 2)
+    logs = [
+        (start + i) * math.log(y) - y - math.lgamma(start + i + 1.0)
+        for i in range(df // 2)
+    ]
+    tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    if logs:
+        top = max(logs)
+        tail += math.exp(top + math.log(math.fsum(math.exp(v - top) for v in logs)))
+    return tail
+
+
 def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
     """Portmanteau test of serial independence for residual curves.
 
@@ -390,7 +424,8 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
     portmanteau statistic over lags ``1 .. lag_count`` with the usual
     small-sample scaling.  Under independence the statistic is
     asymptotically chi-square with ``projection_dim^2 * lag_count``
-    degrees of freedom, which supplies the p-value.
+    degrees of freedom, whose upper tail, in the closed form of
+    :func:`_chi2_upper_tail`, supplies the p-value.
 
     Parameters
     ----------
@@ -408,8 +443,8 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
     """
     values, g = _series_values(residuals, grid)
     m = values.shape[0]
-    lags = int(lag_count)
-    dim = int(projection_dim)
+    lags = check_integer(lag_count, "lag_count")
+    dim = check_integer(projection_dim, "projection_dim")
     if lags < 1:
         raise DomainError(f"lag_count must be at least 1, got {lag_count}")
     if dim < 1:
@@ -443,8 +478,7 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
         c_lag = _lag_product(scores, lag)
         quad = float(np.sum(c_lag**2 * np.outer(inv_var, inv_var)))
         statistic += quad * m**2 / (m - lag)
-    df = eff**2 * lags
-    p_value = float(special.chdtrc(df, statistic))
+    p_value = _chi2_upper_tail(statistic, eff**2 * lags)
     return IndependenceResult(
         statistic=float(statistic),
         p_value=p_value,

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import ClrSeries, inverse_clr
-from .errors import ConfigurationError, DomainError, RankError
+from .errors import ConfigurationError, DomainError, RankError, check_integer
 from .bootstrap import (
     _banded_forecast,
-    _check_integer,
     _check_levels,
     _fit_ets_prefixes,
 )
@@ -167,7 +166,7 @@ def fit_lc(series, n_components=1):
     """
     if not isinstance(series, ClrSeries):
         raise DomainError("series must be a ClrSeries")
-    k = _check_integer(n_components, "n_components", RankError)
+    k = check_integer(n_components, "n_components", RankError)
     limit = min(series.values.shape)
     if k < 1 or k > limit:
         raise RankError(f"n_components must be in [1, {limit}], got {n_components}")
@@ -233,8 +232,8 @@ def lc_bootstrap_path(
     -------
     list of BootstrapForecast
     """
-    h_max = _check_integer(max_horizon, "max_horizon")
-    b = _check_integer(n_samples, "n_samples")
+    h_max = check_integer(max_horizon, "max_horizon")
+    b = check_integer(n_samples, "n_samples")
     if h_max < 1:
         raise DomainError(f"max_horizon must be at least 1, got {max_horizon}")
     if b < 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coda import inverse_clr, trapezoid_weights
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .lifetable import (
     DEFAULT_RADIX,
     LifeTableGrid,
@@ -53,7 +53,7 @@ def make_synthetic_grid(n_years=50, seed=0, start_year=1950, radix=DEFAULT_RADIX
     -------
     LifeTableGrid
     """
-    n = int(n_years)
+    n = check_integer(n_years, "n_years")
     if n < 2:
         raise DomainError(f"need at least 2 years, got {n_years}")
     rng = np.random.default_rng(seed)
@@ -101,8 +101,8 @@ def make_factor_grid(
     -------
     LifeTableGrid
     """
-    n = int(n_years)
-    d = int(n_ages)
+    n = check_integer(n_years, "n_years")
+    d = check_integer(n_ages, "n_ages")
     if n < 10:
         raise DomainError(f"need at least 10 years, got {n_years}")
     if d < 3:

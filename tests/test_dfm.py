@@ -30,7 +30,7 @@ def test_component_counts(policy, expected):
     assert component_counts(policy) == ComponentCounts(*expected)
 
 
-@pytest.mark.parametrize("bad", [0, -2, "zero", "1.5", ""])
+@pytest.mark.parametrize("bad", [0, -2, "zero", "1.5", "", 2.5, 2.0])
 def test_component_counts_rejects_bad_policies(bad):
     with pytest.raises(DomainError):
         component_counts(bad)
@@ -172,6 +172,15 @@ def test_fit_input_validation():
     short, *_ = _planted_rank1(n=9, d=8)
     with pytest.raises(InsufficientDataError):
         fit_dfm(short, 1, 1)
+
+
+def test_fit_rejects_fractional_component_counts():
+    series, *_ = _planted_rank1(n=20, d=8)
+    with pytest.raises(DomainError, match="n_primary must be an integer"):
+        fit_dfm(series, 1.5, 2.7)
+    with pytest.raises(DomainError, match="n_residual must be an integer"):
+        fit_dfm(series, 1, 1.0)
+    assert fit_dfm(series, np.int64(1), np.int32(1)).n_primary == 1
 
 
 def test_primary_scores_inherit_the_random_walk():

@@ -67,6 +67,11 @@ def test_ecp_validates_window_count_and_shapes():
         ecp(block, block, block, 0, 4)
     with pytest.raises(DomainError):
         ecp(block, block, block, 5, 4)
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        ecp(block[:3], block[:3], block[:3], 2.0, 4)
+    with pytest.raises(DomainError, match="max_horizon must be an integer"):
+        ecp(block[:3], block[:3], block[:3], 2, 4.5)
+    assert ecp(block[:3], block[:3], block[:3], np.int64(2), np.int32(4)) == 1.0
 
 
 def test_method_config_labels():
@@ -90,6 +95,15 @@ def test_plan_validation():
     assert BacktestPlan(initial_window=20, levels=[0.8, 0.95]).levels == (0.8, 0.95)
     with pytest.raises(ConfigurationError):
         BacktestPlan(initial_window=20, configs=())
+
+
+def test_plan_rejects_fractional_counts():
+    with pytest.raises(ConfigurationError, match="initial_window must be an integer"):
+        BacktestPlan(initial_window=20.5)
+    with pytest.raises(ConfigurationError, match="max_horizon must be an integer"):
+        BacktestPlan(initial_window=20, max_horizon=2.0)
+    plan = BacktestPlan(initial_window=np.int64(20), max_horizon=np.int32(2))
+    assert (plan.initial_window, plan.max_horizon) == (20, 2)
 
 
 def test_series_prefix():
@@ -374,6 +388,8 @@ def test_backtest_rejects_fewer_than_one_job():
     )
     with pytest.raises(ConfigurationError):
         run_backtest(grid, plan, n_jobs=0)
+    with pytest.raises(ConfigurationError, match="n_jobs must be an integer"):
+        run_backtest(grid, plan, n_jobs=1.5)
 
 
 def test_backtest_passes_the_independence_settings_to_the_fit():

@@ -228,6 +228,15 @@ def test_fpca_rejects_asymmetric_surface_and_bad_rank():
         fpca(good, 3)
 
 
+def test_fpca_rejects_a_fractional_count():
+    grid = np.array([0.0, 1.0, 2.0])
+    good = CovSurface(grid=grid, values=np.eye(3), weights=trapezoid_weights(grid))
+    for count in (1.5, 2.0, np.float64(2.0)):
+        with pytest.raises(RankError, match="n_components must be an integer"):
+            fpca(good, count)
+    assert fpca(good, np.int64(2)).n_components == 2
+
+
 def test_eigenbasis_validation():
     grid = np.array([0.0, 1.0])
     w = trapezoid_weights(grid)

@@ -5,9 +5,11 @@ deterministic; the thresholds leave room against the sampling noise that
 would appear under reseeding.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from codaboot import (
@@ -23,6 +25,7 @@ from codaboot import (
     make_synthetic_grid,
     trapezoid_weights,
 )
+from codaboot.fts import _chi2_upper_tail
 
 GRID = np.arange(10.0)
 
@@ -137,6 +140,11 @@ def test_kpss_requires_enough_curves_and_permutations():
     longer = _centred_series(np.random.default_rng(0).normal(size=(12, 10)))
     with pytest.raises(DomainError):
         functional_kpss_pvalue(longer, n_permutations=0)
+    with pytest.raises(DomainError, match="n_permutations must be an integer"):
+        functional_kpss_pvalue(longer, n_permutations=9.5)
+    assert functional_kpss_pvalue(longer, n_permutations=np.int64(9)) == (
+        functional_kpss_pvalue(longer, n_permutations=9)
+    )
 
 
 def test_independence_size_is_honest():
@@ -189,6 +197,50 @@ def test_independence_input_validation():
         independence_test(values, lag_count=0)
     with pytest.raises(DomainError):
         independence_test(values, projection_dim=0)
+    longer = np.random.default_rng(1).normal(size=(20, 4))
+    with pytest.raises(DomainError, match="lag_count must be an integer"):
+        independence_test(longer, lag_count=2.5)
+    with pytest.raises(DomainError, match="projection_dim must be an integer"):
+        independence_test(longer, projection_dim=2.0)
+    assert independence_test(
+        longer, lag_count=np.int64(2), projection_dim=np.int32(2)
+    ) == independence_test(longer, lag_count=2, projection_dim=2)
+
+
+@pytest.fixture(scope="module")
+def chdtrc():
+    # scipy is a test-only oracle; the package itself never imports it.
+    return pytest.importorskip("scipy.special").chdtrc
+
+
+@settings(max_examples=300, deadline=None)
+@given(df=st.integers(1, 400), x=st.floats(0.0, 4000.0))
+def test_chi2_tail_matches_the_scipy_oracle(chdtrc, df, x):
+    expected = float(chdtrc(df, x))
+    assume(expected >= 1e-290)
+    assert abs(_chi2_upper_tail(x, df) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-6, 0.3, 1.0, 7.5, 80.0, 1500.0])
+def test_chi2_tail_closed_forms_of_one_and_two_degrees(x):
+    assert _chi2_upper_tail(x, 2) == math.exp(-x / 2.0)
+    assert _chi2_upper_tail(x, 1) == math.erfc(math.sqrt(x / 2.0))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 45, 400])
+def test_chi2_tail_is_one_at_and_below_zero(df):
+    for x in (0.0, -0.0, -1e-12, -3.0):
+        assert _chi2_upper_tail(x, df) == 1.0
+
+
+def test_chi2_tail_stays_positive_far_below_the_normal_range():
+    # The portmanteau statistic of a 220-year table's first-stage
+    # residuals; a running product of the series terms underflows to 0
+    # here.  The reference value is scipy's chdtrc.
+    got = _chi2_upper_tail(1583.555471705396, 45)
+    expected = 1.2306128015096604e-302
+    assert 0.0 < got
+    assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_dependence_decision_respects_the_level():

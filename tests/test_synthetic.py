@@ -36,6 +36,14 @@ def test_synthetic_grid_rejects_tiny_inputs():
         make_synthetic_grid(1)
 
 
+def test_synthetic_grid_rejects_a_fractional_year_count():
+    with pytest.raises(DomainError, match="n_years must be an integer"):
+        make_synthetic_grid(12.0)
+    np.testing.assert_array_equal(
+        make_synthetic_grid(np.int64(3)).deaths, make_synthetic_grid(3).deaths
+    )
+
+
 def test_factor_grid_shape_and_determinism():
     grid = make_factor_grid(n_years=15, n_ages=9, seed=2, start_year=1800)
     assert grid.n_years == 15
@@ -65,3 +73,12 @@ def test_factor_grid_rejects_tiny_inputs():
         make_factor_grid(n_years=5)
     with pytest.raises(DomainError):
         make_factor_grid(n_years=20, n_ages=2)
+
+
+def test_factor_grid_rejects_fractional_counts():
+    with pytest.raises(DomainError, match="n_years must be an integer"):
+        make_factor_grid(n_years=20.5)
+    with pytest.raises(DomainError, match="n_ages must be an integer"):
+        make_factor_grid(n_years=20, n_ages=6.0)
+    grid = make_factor_grid(n_years=np.int64(12), n_ages=np.int32(5))
+    assert (grid.n_years, grid.n_ages) == (12, 5)
