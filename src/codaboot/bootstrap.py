@@ -380,7 +380,7 @@ class BootstrapForecast:
     ``samples`` holds the ``n_samples`` bootstrapped curves; ``lower``
     and ``upper`` map each nominal level to its pointwise empirical
     quantile bounds, taken at ``(1 - level) / 2`` and
-    ``1 - (1 - level) / 2`` with linear interpolation.
+    ``1 - (1 - level) / 2`` by type-7 interpolation, read from one sort.
     """
 
     horizon: int
@@ -406,12 +406,27 @@ def _check_levels(levels):
     return out
 
 
+def _sorted_quantiles(samples, probs):
+    """``np.quantile(samples, probs, axis=0)`` bit for bit from one sort:
+    numpy's ``"linear"`` rule (Hyndman and Fan type 7) and its lerp."""
+    ordered = np.sort(samples, axis=0)
+    virtual = (len(samples) - 1) * np.asarray(probs, dtype=float)
+    below = np.floor(virtual)
+    t = (virtual - below)[:, None]
+    a = ordered[below.astype(np.intp)]
+    c = ordered[np.minimum(below + 1, len(samples) - 1).astype(np.intp)]
+    diff = c - a
+    bounds = a + diff * t
+    np.subtract(c, diff * (1 - t), out=bounds, where=t >= 0.5)
+    return bounds
+
+
 def _banded_forecast(fit, horizon, point, samples, levels, rng_seed):
     """Wrap samples as a forecast whose bounds, for every level, are the
-    pointwise quantiles at ``(1 - level) / 2`` and ``1 - (1 - level) / 2``,
-    all taken in one pass over the samples."""
+    pointwise type-7 quantiles at ``(1 - level) / 2`` and
+    ``1 - (1 - level) / 2``, all read from one sort by :func:`_sorted_quantiles`."""
     alphas = [(1.0 - level) / 2.0 for level in levels]
-    bounds = np.quantile(samples, alphas + [1.0 - a for a in alphas], axis=0)
+    bounds = _sorted_quantiles(samples, alphas + [1.0 - a for a in alphas])
     return BootstrapForecast(
         horizon=horizon,
         grid=fit.grid,
@@ -470,7 +485,7 @@ def assemble_forecast(
     fit = error_pool.fit
     rng = np.random.default_rng(rng_seed)
     clr_point = fit.mean_curve.copy()
-    clr_samples = np.tile(fit.mean_curve, (b, 1))
+    draws = []
 
     groups = (
         (fit.primary_basis, error_pool.primary, error_pool.primary_central),
@@ -479,11 +494,15 @@ def assemble_forecast(
     for basis, errors, central in groups:
         for k in range(basis.n_components):
             pool = errors[h - 1][:, k]
-            draws = central[h - 1, k] + pool[rng.integers(0, pool.size, b)]
+            # One bounded-integer call per component: a single call for
+            # all of them would draw a different stream.
+            draws.append(central[h - 1, k] + pool[rng.integers(0, pool.size, b)])
             clr_point += central[h - 1, k] * basis.functions[k]
-            clr_samples += np.outer(draws, basis.functions[k])
 
     rows = rng.integers(0, fit.n, b)
+    functions = np.concatenate((fit.primary_basis.functions, fit.residual_basis.functions))
+    clr_samples = np.column_stack(draws) @ functions
+    clr_samples += fit.mean_curve
     clr_samples += fit.final_residuals[rows]
 
     point = inverse_clr(clr_point, fit.grid, fit.radix)

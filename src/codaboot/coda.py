@@ -188,6 +188,7 @@ def inverse_clr(curves, grid, radix=DEFAULT_RADIX):
     if radix <= 0.0:
         raise DomainError("radix must be positive")
     w = trapezoid_weights(g)
-    shifted = np.exp(x - x.max(axis=1, keepdims=True))
-    out = shifted * (radix / (shifted @ w))[:, None]
+    out = np.subtract(x, x.max(axis=1, keepdims=True))
+    np.exp(out, out=out)
+    out *= (radix / (out @ w))[:, None]
     return out[0] if single else out

@@ -41,11 +41,14 @@ from codaboot import (
 )
 from codaboot.bootstrap import (
     _PREFIX_TABLES,
+    SCORE_METHODS,
     _ar_aic_batched,
+    _banded_forecast,
+    _check_levels,
     _fit_ar_aic,
     _forecast_ar_aic,
 )
-from codaboot import leecarter
+from codaboot import bootstrap, leecarter
 from codaboot.cli import main
 from codaboot.evaluation import MODEL_FORECASTERS
 
@@ -58,6 +61,10 @@ AR_BAND_TOLERANCE = 1e-9
 # Interval tolerance of the batched Lee-Carter refits: every band within
 # this fraction of the radix of refitting each pseudo-sample by its SVD.
 LC_BAND_TOLERANCE = 1e-9
+
+# Interval tolerance of the factor-model assembly: every band within this
+# fraction of the radix of adding each component's draws one at a time.
+ASSEMBLY_BAND_TOLERANCE = 1e-9
 
 
 def _verdict(capsys, name, ok, detail):
@@ -411,6 +418,85 @@ def test_batched_lc_refits_keep_bands_within_the_stated_tolerance(
     _verdict(
         capsys,
         "batched-lc-tolerance",
+        ok,
+        f"{n_bands} bands, max |dev| / radix {dev:.1e}, points"
+        f" {'identical' if points_same else 'differ'}",
+    )
+
+
+def _outer_assembly(error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0):
+    """The reference assembly: the same draws as ``assemble_forecast``,
+    each component's curves added to the mean curve with ``np.outer`` in
+    draw order, then the resampled residual curves."""
+    fit = error_pool.fit
+    h, b = horizon, n_samples
+    rng = np.random.default_rng(rng_seed)
+    clr_point = fit.mean_curve.copy()
+    clr_samples = np.tile(fit.mean_curve, (b, 1))
+    for basis, errors, central in (
+        (fit.primary_basis, error_pool.primary, error_pool.primary_central),
+        (fit.residual_basis, error_pool.residual, error_pool.residual_central),
+    ):
+        for k in range(basis.n_components):
+            pool = errors[h - 1][:, k]
+            draws = central[h - 1, k] + pool[rng.integers(0, pool.size, b)]
+            clr_point += central[h - 1, k] * basis.functions[k]
+            clr_samples += np.outer(draws, basis.functions[k])
+    clr_samples += fit.final_residuals[rng.integers(0, fit.n, b)]
+    return _banded_forecast(
+        fit,
+        h,
+        inverse_clr(clr_point, fit.grid, fit.radix),
+        inverse_clr(clr_samples, fit.grid, fit.radix),
+        _check_levels(levels),
+        rng_seed,
+    )
+
+
+def _dfm_forecasts(grid):
+    """Factor-model bootstrap paths on ``grid``, one per score method used
+    for both score groups."""
+    fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+    forecasts = {}
+    for method in SCORE_METHODS:
+        path = bootstrap_forecast_path(
+            fit,
+            5,
+            n_samples=300,
+            rng_seed=3,
+            primary_method=method,
+            residual_method=method,
+        )
+        for fc in path:
+            forecasts[(method, fc.horizon)] = fc
+    return forecasts
+
+
+def test_assembly_keeps_bands_within_the_stated_tolerance(capsys, monkeypatch):
+    # The same paths with the one-product assembly and with every
+    # component added on its own: bands within ASSEMBLY_BAND_TOLERANCE of
+    # the radix and identical point forecasts.
+    dev = 0.0
+    n_bands = 0
+    points_same = True
+    for grid in (make_factor_grid(40, 31, seed=3), make_synthetic_grid(40, seed=4)):
+        assembled = _dfm_forecasts(grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(bootstrap, "assemble_forecast", _outer_assembly)
+            reference = _dfm_forecasts(grid)
+        assert assembled.keys() == reference.keys()
+        for key, fc in assembled.items():
+            ref = reference[key]
+            points_same &= np.array_equal(fc.point, ref.point)
+            for level in fc.levels:
+                for ours, theirs in ((fc.lower, ref.lower), (fc.upper, ref.upper)):
+                    gap = np.max(np.abs(ours[level] - theirs[level])) / grid.radix
+                    dev = max(dev, float(gap))
+                    n_bands += 1
+    ok = dev <= ASSEMBLY_BAND_TOLERANCE and points_same
+    _verdict(
+        capsys,
+        "assembly-tolerance",
         ok,
         f"{n_bands} bands, max |dev| / radix {dev:.1e}, points"
         f" {'identical' if points_same else 'differ'}",

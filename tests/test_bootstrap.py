@@ -31,6 +31,7 @@ from codaboot.bootstrap import (
     _fit_ar_aic,
     _fit_ets_prefixes,
     _forecast_ar_aic,
+    _sorted_quantiles,
 )
 
 
@@ -475,6 +476,32 @@ def test_bounds_are_the_empirical_quantiles_of_the_samples():
     # Wider nominal level, wider band, at every age.
     assert np.all(fc.lower[0.95] <= fc.lower[0.8])
     assert np.all(fc.upper[0.8] <= fc.upper[0.95])
+
+
+@settings(max_examples=150, deadline=None)
+@example(b=1, d=1, levels=[0.8], seed=0, ties=False)
+@example(b=1, d=7, levels=[0.8, 0.95], seed=1, ties=True)
+@given(
+    b=st.integers(1, 1500),
+    d=st.integers(1, 120),
+    levels=st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+def test_sorted_quantiles_equal_numpy_quantiles_bit_for_bit(b, d, levels, seed, ties):
+    # The band helper reads every level from one sort; it must equal
+    # np.quantile exactly, ties and single samples included.
+    rng = np.random.default_rng(seed)
+    samples = rng.lognormal(sigma=1.0, size=(b, d))
+    if ties:
+        samples = np.round(samples, 1)
+    alphas = [(1.0 - level) / 2.0 for level in levels]
+    probs = alphas + [1.0 - a for a in alphas]
+    assert np.array_equal(
+        _sorted_quantiles(samples, probs), np.quantile(samples, probs, axis=0)
+    )
 
 
 def test_assemble_forecast_validation():

@@ -114,6 +114,43 @@ def test_inverse_clr_handles_single_and_stacked_curves():
     np.testing.assert_array_equal(stacked[0], single)
 
 
+def _inverse_clr_reference(x, grid, radix):
+    shifted = np.exp(x - x.max(axis=1, keepdims=True))
+    return shifted * (radix / (shifted @ trapezoid_weights(grid)))[:, None]
+
+
+def test_inverse_clr_matches_its_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    uneven = np.cumsum(rng.uniform(0.05, 5.0, size=111))
+    for grid in (np.arange(111.0), uneven):
+        for scale in (1.0, 30.0, 400.0):
+            stack = rng.normal(scale=scale, size=(1000, 111))
+            np.testing.assert_array_equal(
+                inverse_clr(stack, grid, 1000.0),
+                _inverse_clr_reference(stack, grid, 1000.0),
+            )
+            single = inverse_clr(stack[3], grid, 1000.0)
+            assert single.shape == (111,)
+            np.testing.assert_array_equal(
+                single, _inverse_clr_reference(stack[3:4], grid, 1000.0)[0]
+            )
+
+
+def test_inverse_clr_leaves_its_input_unchanged():
+    rng = np.random.default_rng(13)
+    grid = np.arange(20.0)
+    stack = rng.normal(scale=5.0, size=(50, 20))
+    kept = stack.copy()
+    inverse_clr(stack, grid)
+    inverse_clr(stack[0], grid)
+    np.testing.assert_array_equal(stack, kept)
+    stack.setflags(write=False)
+    np.testing.assert_array_equal(
+        inverse_clr(stack, grid), _inverse_clr_reference(kept, grid, DEFAULT_RADIX)
+    )
+    np.testing.assert_array_equal(stack, kept)
+
+
 def test_clr_accepts_lifetable_grid():
     rng = np.random.default_rng(10)
     deaths = rng.lognormal(sigma=1.0, size=(4, 111))
