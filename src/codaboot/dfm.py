@@ -110,10 +110,6 @@ class DfmFit:
     def n_residual(self) -> int:
         return self.residual_basis.n_components
 
-    @property
-    def total_components(self) -> int:
-        return self.n_primary + self.n_residual
-
     def reconstruction(self):
         """Curves implied by the fit; equals the input series exactly."""
         values = (
@@ -134,7 +130,6 @@ def fit_dfm(
     force_residual_stage=False,
     independence_lags=5,
     independence_dim=3,
-    independence_level=0.05,
 ):
     """Fit the two-stage factor model to a clr curve series.
 
@@ -157,9 +152,9 @@ def fit_dfm(
         Run the residual stage whenever ``n_residual > 0``, regardless of
         the test outcome.  Fixed-count experiments use this so their
         component counts do not depend on a test decision.
-    independence_lags, independence_dim, independence_level :
+    independence_lags, independence_dim :
         Passed to the serial-independence diagnostic on the first-stage
-        residuals.
+        residuals, whose decision is taken at the 5% level.
 
     Returns
     -------
@@ -196,7 +191,7 @@ def fit_dfm(
         grid=series.grid,
     )
 
-    run_stage = q > 0 and (force_residual_stage or independence.dependent(independence_level))
+    run_stage = q > 0 and (force_residual_stage or independence.dependent())
     if run_stage:
         residual_long_run = long_run_covariance(first_residuals, grid=series.grid)
         residual_basis = fpca(residual_long_run, q)

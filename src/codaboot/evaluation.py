@@ -76,7 +76,6 @@ class MethodConfig:
     components: object = "six"
     n_samples: int = 1000
     primary_method: str = "random_walk_drift"
-    residual_method: str = "ar_aic"
     bandwidth: float | None = None
     # Fixed-count experiments keep the residual stage on so the component
     # budget never depends on a test decision mid-backtest.
@@ -170,7 +169,6 @@ def forecast_dfm(series, config, horizons, levels, rng_seed):
         levels=levels,
         rng_seed=rng_seed,
         primary_method=config.primary_method,
-        residual_method=config.residual_method,
     )
 
 

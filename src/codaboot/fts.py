@@ -165,7 +165,7 @@ def bartlett_weight(x):
     return max(0.0, 1.0 - abs(float(x)))
 
 
-def plugin_bandwidth(series, grid=None):
+def plugin_bandwidth(series):
     """Deterministic bandwidth rule for the long-run covariance estimator.
 
     Returns the cube root of the series length, rounded to the nearest
@@ -173,7 +173,7 @@ def plugin_bandwidth(series, grid=None):
     length and needs no tuning input, which keeps every downstream result
     reproducible from the data alone.
     """
-    values, _ = _series_values(series, grid)
+    values, _ = _series_values(series, None)
     m = values.shape[0]
     if m < 4:
         raise InsufficientDataError(f"need at least 4 curves, got {m}")
@@ -205,7 +205,7 @@ def long_run_covariance(series, bandwidth=None, grid=None):
     if m < 2:
         raise InsufficientDataError("need at least two curves")
     if bandwidth is None:
-        bandwidth = plugin_bandwidth(values, grid=g)
+        bandwidth = plugin_bandwidth(values)
     h = float(bandwidth)
     if not np.isfinite(h) or h <= 0.0:
         raise DomainError(f"bandwidth must be positive, got {bandwidth}")

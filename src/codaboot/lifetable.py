@@ -1,18 +1,19 @@
 """Life-table ingestion and related summaries.
 
-The entry point for raw data is :func:`parse_lifetable`, which reads either
-the whitespace-columnar layout used by the major mortality databases or a
-plain CSV with ``year``, ``age`` and ``qx`` columns.  Only the conditional
-death probabilities ``qx`` are trusted; :func:`rebuild_deaths` regenerates
-the death counts from them through the survivorship recursion so that every
-year sums to a common radix.  :func:`gini_coefficient` summarises how
-concentrated a death-count vector is over age.
+The entry point for raw data is :func:`parse_lifetable`, which reads the
+whitespace-columnar layout used by the major mortality databases and plain
+CSV through one header rule: the first line naming ``Year``, ``Age`` and
+``qx`` (and optionally ``Sex``) is the header, and it fixes how the records
+after it are split.  Only the conditional death probabilities ``qx`` are
+trusted; :func:`rebuild_deaths` regenerates the death counts from them
+through the survivorship recursion so that every year sums to a common
+radix.  :func:`gini_coefficient` summarises how concentrated a death-count
+vector is over age.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,6 +45,8 @@ _SEX_ALIASES = {
     "total": "total",
     "both": "total",
 }
+
+_REQUIRED_COLUMNS = ("year", "age", "qx")
 
 
 class LifeTableRow(NamedTuple):
@@ -119,28 +122,22 @@ def _normalize_sex(token):
 
 
 def _open_source(text_source):
-    if isinstance(text_source, io.IOBase):
-        return text_source, False
     if hasattr(text_source, "read"):
         return text_source, False
     return open(os.fspath(text_source), "r", encoding="utf-8"), True
 
 
-def _parse_age(token, line_number):
-    token = token.strip()
-    if token.endswith("+"):
-        token = token[:-1]
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"cannot parse age {token!r}", line_number) from None
-
-
 def _parse_int(token, what, line_number):
+    token = token.strip()
     try:
         return int(token)
     except ValueError:
         raise ParseError(f"cannot parse {what} {token!r}", line_number) from None
+
+
+def _parse_age(token, line_number):
+    # An open age group such as "110+" is folded onto its lower bound.
+    return _parse_int(token.strip().removesuffix("+"), "age", line_number)
 
 
 def _parse_qx(token, line_number):
@@ -151,32 +148,48 @@ def _parse_qx(token, line_number):
         value = float(token)
     except ValueError:
         raise ParseError(f"cannot parse qx {token!r}", line_number) from None
-    if not np.isfinite(value) or value < 0.0 or value > 1.0:
+    # The chained comparison is false for nan as well as for out-of-range values.
+    if not 0.0 <= value <= 1.0:
         raise DomainError(f"line {line_number}: qx must lie in [0, 1], got {token}")
     return value
 
 
-def _header_indices(tokens):
-    lowered = [t.lower() for t in tokens]
-    indices = {}
-    for name in ("year", "age", "qx"):
-        if name in lowered:
-            indices[name] = lowered.index(name)
-    sex_idx = lowered.index("sex") if "sex" in lowered else None
-    return indices, sex_idx
+def _split_lines(lines):
+    return map(str.split, lines)
+
+
+def _find_header(lines):
+    """Locate the first line that names ``Year``, ``Age`` and ``qx``.
+
+    Whitespace tokens are tried before CSV cells on each line, so a
+    columnar header wins over a comma in its own line and a free-text
+    preamble ("Australia, Females ...") matches neither.  Returns the
+    header's index in ``lines``, the tokeniser that read it (a function
+    from lines to records), the ``year``, ``age`` and ``qx`` column
+    indices, and the ``Sex`` column index or ``None``.
+    """
+    for index, line in enumerate(lines):
+        for tokenise in (_split_lines, csv.reader):
+            names = [cell.strip().lower() for cell in next(tokenise([line]), [])]
+            if all(name in names for name in _REQUIRED_COLUMNS):
+                columns = tuple(names.index(name) for name in _REQUIRED_COLUMNS)
+                sex_column = names.index("sex") if "sex" in names else None
+                return index, tokenise, columns, sex_column
+    raise SchemaError("no header line naming Year, Age and qx was found")
 
 
 def parse_lifetable(text_source, sex_filter=None):
     """Parse life-table rows from a text source.
 
-    Two layouts are recognised.  If the first non-blank line contains a
-    comma the source is read as CSV with a header naming at least ``year``,
-    ``age`` and ``qx`` (case-insensitive).  Otherwise the source is treated
-    as whitespace-columnar: the first line whose tokens include ``Year``,
-    ``Age`` and ``qx`` is the header and following lines are data.  An
-    open age group such as ``110+`` or ``100+`` is folded onto its lower
-    bound.  The missing-value token ``.`` is rejected rather than
-    silently dropped.
+    The header is the first line whose whitespace tokens or, failing
+    that, CSV cells name ``Year``, ``Age`` and ``qx`` (case-insensitive);
+    it may also name ``Sex``.  That line fixes the layout: the records
+    after it are split the same way, so the whitespace-columnar files of
+    the major mortality databases and plain CSV are read alike.  Lines
+    before the header are a free-text preamble in either layout, and
+    blank records are skipped.  An open age group such as ``110+`` or
+    ``100+`` is folded onto its lower bound.  The missing-value token
+    ``.`` is rejected rather than silently dropped.
 
     Parameters
     ----------
@@ -194,7 +207,8 @@ def parse_lifetable(text_source, sex_filter=None):
     Raises
     ------
     ParseError
-        On a malformed token; the message names the offending line.
+        On a short record or a malformed token; the message names the
+        offending line.
     SchemaError
         When no header naming the required columns is found.
     DomainError
@@ -208,98 +222,29 @@ def parse_lifetable(text_source, sex_filter=None):
         if owns:
             handle.close()
 
-    # Decide the layout from the header line, not the first line: columnar
-    # files open with a free-text preamble that may itself contain commas
-    # ("Australia, Females ...").
-    if _looks_like_csv(lines):
-        return _parse_csv(lines, wanted)
-    return _parse_columnar(lines, wanted)
-
-
-def _looks_like_csv(lines):
-    # The first line that forms a Year/Age/qx header under either tokeniser
-    # decides the layout.  No such line at all falls through to the columnar
-    # parser, which reports the missing header.
-    for line in lines:
-        if not line.strip():
-            continue
-        found, _ = _header_indices(line.split())
-        if len(found) == 3:
-            return False
-        cells = next(csv.reader([line]), [])
-        found, _ = _header_indices([cell.strip() for cell in cells])
-        if len(found) == 3:
-            return True
-    return False
-
-
-def _parse_columnar(lines, wanted):
-    indices = None
-    sex_idx = None
+    header, tokenise, (year_col, age_col, qx_col), sex_col = _find_header(lines)
+    width = 1 + max(year_col, age_col, qx_col, -1 if sex_col is None else sex_col)
+    filter_sex = wanted is not None and sex_col is not None
     rows = []
-    for line_number, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
+    # Records are numbered from the header's line; a quoted CSV cell that
+    # spans lines counts as one record.
+    records = tokenise(lines[header + 1 :])
+    for line_number, record in enumerate(records, start=header + 2):
+        if not any(map(str.strip, record)):
             continue
-        if indices is None:
-            found, sex = _header_indices(tokens)
-            if len(found) == 3:
-                indices = found
-                sex_idx = sex
-            continue
-        needed = max(indices.values())
-        if sex_idx is not None:
-            needed = max(needed, sex_idx)
-        if len(tokens) <= needed:
+        if len(record) < width:
             raise ParseError(
-                f"expected at least {needed + 1} columns, got {len(tokens)}", line_number
+                f"expected at least {width} columns, got {len(record)}", line_number
             )
-        if sex_idx is not None and wanted is not None:
-            if _normalize_sex(tokens[sex_idx]) != wanted:
-                continue
-        year = _parse_int(tokens[indices["year"]], "year", line_number)
-        age = _parse_age(tokens[indices["age"]], line_number)
-        qx = _parse_qx(tokens[indices["qx"]], line_number)
-        rows.append(LifeTableRow(year, age, qx))
-    if indices is None:
-        raise SchemaError("no header line naming Year, Age and qx was found")
-    return rows
-
-
-def _parse_csv(lines, wanted):
-    reader = csv.reader(lines)
-    header = None
-    indices = None
-    sex_idx = None
-    rows = []
-    for line_number, record in enumerate(reader, start=1):
-        if not record or not any(cell.strip() for cell in record):
+        if filter_sex and _normalize_sex(record[sex_col]) != wanted:
             continue
-        if header is None:
-            header = [cell.strip() for cell in record]
-            indices, sex_idx = _header_indices(header)
-            if len(indices) < 3:
-                missing = {"year", "age", "qx"} - set(indices)
-                raise SchemaError(
-                    f"CSV header must name year, age and qx; missing {sorted(missing)}"
-                )
-            continue
-        needed = max(indices.values())
-        if sex_idx is not None:
-            needed = max(needed, sex_idx)
-        if len(record) <= needed:
-            raise ParseError(
-                f"expected at least {needed + 1} fields, got {len(record)}", line_number
+        rows.append(
+            LifeTableRow(
+                _parse_int(record[year_col], "year", line_number),
+                _parse_age(record[age_col], line_number),
+                _parse_qx(record[qx_col], line_number),
             )
-        if sex_idx is not None and wanted is not None:
-            if _normalize_sex(record[sex_idx]) != wanted:
-                continue
-        year = _parse_int(record[indices["year"]].strip(), "year", line_number)
-        age = _parse_age(record[indices["age"]], line_number)
-        qx = _parse_qx(record[indices["qx"]], line_number)
-        rows.append(LifeTableRow(year, age, qx))
-    if header is None:
-        raise SchemaError("CSV source is empty")
+        )
     return rows
 
 

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codaboot import (
     CompletenessError,
@@ -66,22 +68,121 @@ def test_sex_filter_without_sex_column_passes_through():
     assert len(parse_lifetable(io.StringIO(text), sex_filter="female")) == 2
 
 
-def test_missing_value_token_is_an_error_with_line_number():
-    text = "Year Age qx\n1950 0 0.1\n1950 1 .\n"
-    with pytest.raises(ParseError, match="line 3"):
-        parse_lifetable(io.StringIO(text))
+def test_csv_preamble_is_skipped_and_counted_in_line_numbers():
+    text = "Australia, Females\n" + CSV
+    female = parse_lifetable(io.StringIO(text), sex_filter="female")
+    assert female == [LifeTableRow(1950, 0, 0.021), LifeTableRow(1951, 110, 1.0)]
+    with pytest.raises(ParseError, match="line 3:") as excinfo:
+        parse_lifetable(io.StringIO("Australia, Females\nYear,Age,qx\n1950,0\n"))
+    assert excinfo.value.line_number == 3
 
 
-def test_short_line_is_a_parse_error():
-    text = "Year Age qx\n1950 0\n"
-    with pytest.raises(ParseError, match="line 2"):
-        parse_lifetable(io.StringIO(text))
+def test_blank_csv_cells_are_a_blank_record():
+    text = "Year,Age,qx\n,,\n1950,0,0.5\n , \n"
+    assert parse_lifetable(io.StringIO(text)) == [LifeTableRow(1950, 0, 0.5)]
 
 
-def test_unparseable_age_names_its_line():
-    text = "Year Age qx\n1950 x1 0.1\n"
-    with pytest.raises(ParseError, match="line 2"):
-        parse_lifetable(io.StringIO(text))
+def _table(layout, *records):
+    join = " ".join if layout == "columnar" else ",".join
+    lines = [join(record) + "\n" for record in (("Year", "Age", "qx"),) + records]
+    return io.StringIO("".join(lines))
+
+
+LAYOUTS = ["columnar", "csv"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_missing_value_token_is_an_error_with_line_number(layout):
+    text = _table(layout, ("1950", "0", "0.1"), ("1950", "1", "."))
+    with pytest.raises(ParseError, match="line 3:") as excinfo:
+        parse_lifetable(text)
+    assert excinfo.value.line_number == 3
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_short_line_is_a_parse_error(layout):
+    with pytest.raises(ParseError, match="line 2:") as excinfo:
+        parse_lifetable(_table(layout, ("1950", "0")))
+    assert excinfo.value.line_number == 2
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_unparseable_age_names_its_line(layout):
+    with pytest.raises(ParseError, match="line 2:") as excinfo:
+        parse_lifetable(_table(layout, ("1950", "x1", "0.1")))
+    assert excinfo.value.line_number == 2
+
+
+# Preamble text built from letters that cannot spell a Year/Age/qx header,
+# with commas so that a preamble line also splits into several CSV cells.
+_PREAMBLE_LINES = st.one_of(
+    st.just("Australia, Females"),
+    st.text(alphabet="ABCDEFabcdef ,.()1", max_size=30),
+)
+_SEX_TOKENS = st.sampled_from([("female", "male"), ("F", "M"), ("f", "m")])
+
+
+@st.composite
+def _qx_tables(draw):
+    """A random qx table as ``(rows by sex, header, records, preamble)``.
+
+    ``rows`` maps each sex (``None`` without a ``Sex`` column) to the rows
+    the table holds for it; ``records`` are the cells of every data line,
+    in the column order of ``header``.
+    """
+    n_years = draw(st.integers(2, 6))
+    n_ages = draw(st.integers(3, 12))
+    first_year = draw(st.integers(1800, 2020))
+    open_group = draw(st.booleans())
+    sexes = draw(st.none() | _SEX_TOKENS)
+    columns = ["Year", "Age", "qx", "mx"] + (["Sex"] if sexes else [])
+    columns = draw(st.permutations(columns))
+    qx_values = st.floats(0.0, 0.9).map(lambda value: f"{value:.5f}")
+    rows = {}
+    records = []
+    for sex_token in sexes or (None,):
+        sex = None if sex_token is None else ("female", "male")[sexes.index(sex_token)]
+        rows[sex] = []
+        for year in range(first_year, first_year + n_years):
+            for age in range(n_ages):
+                terminal = age == n_ages - 1
+                qx = "1.00000" if terminal else draw(qx_values)
+                cells = {
+                    "Year": str(year),
+                    "Age": f"{age}+" if terminal and open_group else str(age),
+                    "qx": qx,
+                    "mx": "0.01000",
+                    "Sex": sex_token,
+                }
+                records.append([cells[name] for name in columns])
+                rows[sex].append(LifeTableRow(year, age, float(qx)))
+    preamble = draw(st.lists(_PREAMBLE_LINES, max_size=3))
+    return rows, columns, records, preamble
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qx_tables())
+def test_both_layouts_parse_to_the_same_rows_and_grid(table):
+    rows, header, records, preamble = table
+
+    def render(separator):
+        lines = preamble + [separator.join(cells) for cells in [header] + records]
+        return "\n".join(lines) + "\n"
+
+    columnar, csv_text = render("  "), render(",")
+    both = [row for sex_rows in rows.values() for row in sex_rows]
+    assert parse_lifetable(io.StringIO(columnar)) == both
+    assert parse_lifetable(io.StringIO(csv_text)) == both
+    if None in rows:
+        # A sex filter passes a table without a Sex column through.
+        assert parse_lifetable(io.StringIO(columnar), sex_filter="male") == both
+    for sex, expected in rows.items():
+        from_columnar = parse_lifetable(io.StringIO(columnar), sex_filter=sex)
+        from_csv = parse_lifetable(io.StringIO(csv_text), sex_filter=sex)
+        assert from_columnar == from_csv == expected
+        np.testing.assert_array_equal(
+            rebuild_deaths(from_columnar).deaths, rebuild_deaths(from_csv).deaths
+        )
 
 
 def test_missing_header_is_a_schema_error():
