@@ -6,12 +6,13 @@ provides the Bartlett-kernel long-run covariance estimator, functional
 principal components of a covariance surface, score projections, and two
 diagnostics: a permutation test of trend stationarity in the KPSS family
 and a portmanteau test of serial independence.  One lag product, with
-divisor ``m`` at every lag, serves the long-run covariance surface, the
-long-run variance of the stationarity statistic (its diagonal alone) and
-the lag covariances of the portmanteau scores.  The portmanteau p-value
-is the chi-square upper tail, which for the test's integer degrees of
-freedom has a finite closed form (Abramowitz and Stegun 26.4.4-26.4.5)
-evaluated here with the standard library alone.
+divisor ``m`` at every lag, serves the long-run covariance surface and
+the lag covariances of the portmanteau scores; the stationarity
+statistic of every reordering of a series is read from one Gram matrix
+of its curves.  The portmanteau p-value is the chi-square upper tail,
+which for the test's integer degrees of freedom has a finite closed form
+(Abramowitz and Stegun 26.4.4-26.4.5) evaluated here with the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .coda import ClrSeries, trapezoid_weights
 from .errors import (
-    DegenerateInputError,
     DomainError,
     InsufficientDataError,
     RankError,
@@ -136,26 +136,22 @@ def difference_series(series):
     )
 
 
-def _lag_product(centered, lag, diagonal=False):
+def _lag_product(centered, lag):
     # (1/m) sum_{s=1}^{m-lag} x_s x_{s+lag}^T over the m rows of a centred
-    # sequence, divisor m at every lag; only its diagonal when asked.
+    # sequence, divisor m at every lag.
     m = centered.shape[0]
-    head, tail = centered[: m - lag], centered[lag:]
-    if diagonal:
-        return np.einsum("si,si->i", head, tail) / m
-    return head.T @ tail / m
+    return centered[: m - lag].T @ centered[lag:] / m
 
 
-def _bartlett_sum(centered, h, diagonal=False):
+def _bartlett_sum(centered, h):
     # sum_l W(l / h) gamma_l over l = -(m-1) .. m-1, with gamma_{-l} the
-    # transpose of gamma_l (a no-op on the diagonal); the kernel is zero
-    # from |l| >= h on.
-    total = _lag_product(centered, 0, diagonal)
+    # transpose of gamma_l; the kernel is zero from |l| >= h on.
+    total = _lag_product(centered, 0)
     for lag in range(1, centered.shape[0]):
         weight = bartlett_weight(lag / h)
         if weight == 0.0:
             break
-        gamma = _lag_product(centered, lag, diagonal)
+        gamma = _lag_product(centered, lag)
         total = total + weight * (gamma + gamma.T)
     return total
 
@@ -292,28 +288,24 @@ def project_scores(values, basis):
     return values @ (basis.functions * basis.weights).T
 
 
-def _detrended(values):
-    # OLS residuals of each age against an intercept and linear time trend.
-    n = values.shape[0]
-    design = np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return values - design @ coef
+def _kpss_forms(n, bandwidth):
+    # Rows A, B, |A|, |B|, flattened; with t centred, M splits in two parts.
+    t = np.arange(n) - (n - 1) / 2.0
+    detrend = np.eye(n) - 1.0 / n - np.outer(t, t) / (t @ t)
+    partial = np.cumsum(detrend, axis=0)
+    weights = np.array([bartlett_weight(lag / bandwidth) for lag in range(n)])
+    kernel = weights[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    forms = np.stack([partial.T @ partial / n**2, detrend @ kernel @ detrend / n])
+    return np.concatenate([forms, np.abs(forms)]).reshape(4, n * n)
 
 
-def _kpss_from_values(values, weights, bandwidth):
-    n = values.shape[0]
-    resid = _detrended(values)
-    partial = np.cumsum(resid, axis=0)
-    numerator = float((partial**2 @ weights).sum()) / n**2
-    # Only the diagonal of the residuals' long-run covariance is read.  The
-    # Bartlett estimate is positive semi-definite (Newey and West, 1987),
-    # so the eigenvalue clipping in long_run_covariance moves that
-    # diagonal at rounding level only and is skipped here.
-    lrv = _bartlett_sum(resid - resid.mean(axis=0), bandwidth, diagonal=True)
-    denominator = float(lrv @ weights)
-    if denominator <= 1e-14 * max(1.0, numerator):
-        return 0.0 if numerator <= 1e-14 else np.inf
-    return numerator / denominator
+def _kpss_ratio(forms, gram):
+    gram = gram.ravel()
+    numerator, denominator = forms[:2] @ gram
+    num_scale, den_scale = forms[2:] @ np.abs(gram)
+    if denominator <= 1e-12 * den_scale:
+        return 0.0 if numerator <= 1e-12 * num_scale else np.inf
+    return float(numerator / denominator)
 
 
 def functional_kpss_pvalue(series, n_permutations=199, seed=0):
@@ -333,6 +325,14 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
     the statistics of randomly reordered series.  An integrated series
     loses its cumulative structure under reordering and lands in the far
     right tail.
+
+    Both halves are quadratic forms in the Gram matrix ``G = Yc diag(w)
+    Yc'`` of the column-centred curves: reordered curves ``P Y`` give
+    ``<A, P G P'> / <B, P G P'>`` with ``A = (S M)'(S M) / n^2`` and
+    ``B = M K M / n`` (``M`` detrends, ``S`` takes partial sums and
+    ``K[s, s +- l] = W(l / h)``), all built once.  An exact trend leaves
+    rounding noise here, so a part at most ``1e-12`` times its terms'
+    summed magnitudes counts as 0; ``0 / 0`` reads 0, ``x / 0`` ``inf``.
 
     Parameters
     ----------
@@ -354,15 +354,15 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
         raise DomainError("need at least one permutation")
     if series.n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {series.n}")
-    weights = series.weights
-    bandwidth = plugin_bandwidth(series)
-    observed = _kpss_from_values(series.values, weights, bandwidth)
+    forms = _kpss_forms(series.n, plugin_bandwidth(series))
+    centred = series.values - series.values.mean(axis=0)
+    gram = (centred * series.weights) @ centred.T
+    observed = _kpss_ratio(forms, gram)
     rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(n_permutations):
-        shuffled = series.values[rng.permutation(series.n)]
-        if _kpss_from_values(shuffled, weights, bandwidth) >= observed:
-            exceed += 1
+        order = rng.permutation(series.n)
+        exceed += _kpss_ratio(forms, gram[order][:, order]) >= observed
     return observed, (1 + exceed) / (1 + n_permutations)
 
 

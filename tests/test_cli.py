@@ -99,6 +99,25 @@ def test_diagnose_reports_three_checks(tmp_path):
     assert rows[2][3] in ("independent", "dependent", "degenerate")
 
 
+def test_diagnose_stationarity_rows_are_pinned(tmp_path):
+    # Values written by the direct detrend-and-sum form of the statistic,
+    # one row trend-nonstationary and one trend-stationary.
+    out = tmp_path / "out"
+    assert main(
+        ["diagnose", "--synthetic", "40", "--synthetic-seed", "2",
+         "--kpss-permutations", "99", "--seed", "5", "--out", str(out)]
+    ) == 0
+    _, rows = _read_csv(out / "diagnostics.csv")
+    expected = [
+        ("stationarity_raw", 0.31938702828001975, "0.01", "trend-nonstationary"),
+        ("stationarity_differenced", 0.08115278133313603, "0.4", "trend-stationary"),
+    ]
+    for row, (name, statistic, p_value, decision) in zip(rows, expected):
+        assert row[0] == name
+        assert float(row[1]) == pytest.approx(statistic, rel=1e-9, abs=0.0)
+        assert row[2:] == [p_value, decision]
+
+
 def test_fit_exports_the_decomposition(tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -125,6 +125,39 @@ def test_kpss_pvalue_replays_the_full_surface_oracle(seed):
         assert p_value == expected_p
 
 
+@pytest.mark.parametrize("n_years", [100, 220])
+def test_kpss_on_long_series_replays_the_full_surface_oracle(n_years):
+    # The Gram form's rounding grows with the series length; the property
+    # test above stops at 60 curves.
+    series = clr(make_synthetic_grid(n_years=n_years))
+    for s in (series, difference_series(series)):
+        stat, p_value = functional_kpss_pvalue(s, n_permutations=99, seed=3)
+        expected_stat, expected_p = _kpss_pvalue_oracle(s, 99, 3)
+        assert stat == pytest.approx(expected_stat, rel=1e-12, abs=0.0)
+        assert p_value == expected_p
+
+
+@pytest.mark.parametrize("n", [12, 40, 100, 220])
+@pytest.mark.parametrize("slope", [1.0, 1e3, 1e5])
+def test_kpss_reads_an_exact_trend_as_zero(n, slope):
+    # Integer curves whose last entry balances the trapezoid integral are
+    # exact in floating point at every scale; detrending them leaves only
+    # rounding noise, and every reordering breaks the trend, so p is 1.
+    rng = np.random.default_rng(n)
+    w = trapezoid_weights(GRID)
+    level, step = rng.integers(-5, 6, size=(2, GRID.size)).astype(float)
+    for curve in (level, step):
+        curve[-1] = -2.0 * (curve[:-1] @ w[:-1])
+    values = level + slope * np.outer(np.arange(n), step)
+    series = ClrSeries(years=np.arange(n), grid=GRID, values=values)
+    assert functional_kpss_pvalue(series, n_permutations=19, seed=1) == (0.0, 1.0)
+
+
+def test_kpss_reads_an_all_zero_series_as_zero():
+    series = _centred_series(np.zeros((15, GRID.size)))
+    assert functional_kpss_pvalue(series, n_permutations=19, seed=1) == (0.0, 1.0)
+
+
 def test_kpss_pvalue_is_deterministic_in_the_seed():
     rng = np.random.default_rng(3)
     series = _centred_series(rng.normal(size=(25, 10)))
