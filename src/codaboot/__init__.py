@@ -52,8 +52,8 @@ from .leecarter import (
     lc_bootstrap_path,
 )
 from .lifetable import (
+    LifeTableColumns,
     LifeTableGrid,
-    LifeTableRow,
     gini_coefficient,
     parse_lifetable,
     rebuild_deaths,

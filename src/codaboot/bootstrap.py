@@ -94,7 +94,7 @@ def _forecast_ar_aic(x, horizons):
     return out
 
 
-def _fit_ets_prefixes(x):
+def _fit_ets_prefixes(x, last_only=False):
     """Least-squares additive-trend exponential smoothing of every prefix.
 
     ``x`` is an ``(s, m)`` stack of series.  Returns ``(level, trend)``,
@@ -106,6 +106,9 @@ def _fit_ets_prefixes(x):
     them; each element goes through the same float operations as a fit
     of that prefix alone, so the result does not depend on how many rows
     or columns are fitted together.  A length-one prefix has trend 0.
+    A caller that reads only the whole series' fit passes ``last_only``:
+    the parameters are then selected at the last step alone, and both
+    results are ``(s, 1)``.
     """
     s, m = x.shape
     out_level = np.empty((s, m))
@@ -134,9 +137,13 @@ def _fit_ets_prefixes(x):
         np.add(predicted, scratch, out=level)
         np.multiply(alpha_betas, err, out=scratch)
         trend += scratch
+        if last_only and t < m - 1:
+            continue
         best = sse.argmin(axis=1)
         out_level[:, t] = level[rows, best]
         out_trend[:, t] = trend[rows, best]
+    if last_only:
+        return out_level[:, -1:], out_trend[:, -1:]
     return out_level, out_trend
 
 

@@ -179,8 +179,8 @@ def _write_csv(path, header, rows):
 def _load_grid(config):
     if config.synthetic is not None:
         return make_synthetic_grid(config.synthetic, seed=config.synthetic_seed)
-    rows = parse_lifetable(config.input, sex_filter=config.sex)
-    return rebuild_deaths(rows)
+    table = parse_lifetable(config.input, sex_filter=config.sex)
+    return rebuild_deaths(table)
 
 
 def _write_config(config):

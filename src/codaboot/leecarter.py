@@ -187,13 +187,14 @@ def _extrapolate_scores(scores, horizons):
 
     ``scores`` is a ``(..., n, k)`` stack of score matrices, one series
     per column; the result is the ``(..., horizons, k)`` stack of their
-    forecasts.  All series of the stack are fitted in one call of
+    forecasts.  All series of the stack are fitted, whole, in one call of
     :func:`_fit_ets_prefixes`, and each forecast is the same to the bit
     as extrapolating its series alone, so it does not depend on which
     stack the series came in.
     """
     *lead, n, k = scores.shape
-    level, trend = _fit_ets_prefixes(np.swapaxes(scores, -1, -2).reshape(-1, n))
+    series = np.swapaxes(scores, -1, -2).reshape(-1, n)
+    level, trend = _fit_ets_prefixes(series, last_only=True)
     last = (*lead, 1, k)
     steps = np.arange(1, horizons + 1)[:, None]
     return level[:, -1].reshape(last) + trend[:, -1].reshape(last) * steps

@@ -4,11 +4,13 @@ The entry point for raw data is :func:`parse_lifetable`, which reads the
 whitespace-columnar layout used by the major mortality databases and plain
 CSV through one header rule: the first line naming ``Year``, ``Age`` and
 ``qx`` (and optionally ``Sex``) is the header, and it fixes how the records
-after it are split.  Only the conditional death probabilities ``qx`` are
-trusted; :func:`rebuild_deaths` regenerates the death counts from them
-through the survivorship recursion so that every year sums to a common
-radix.  :func:`gini_coefficient` summarises how concentrated a death-count
-vector is over age.
+after it are split; the table comes back as three columns,
+:class:`LifeTableColumns`.  Only the conditional death probabilities
+``qx`` are trusted; :func:`rebuild_deaths` places them on a year-by-age
+grid and regenerates the death counts of all years at once through the
+survivorship recursion, so that every year sums to a common radix.
+:func:`gini_coefficient` summarises how concentrated a death-count vector
+is over age.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -49,12 +53,12 @@ _SEX_ALIASES = {
 _REQUIRED_COLUMNS = ("year", "age", "qx")
 
 
-class LifeTableRow(NamedTuple):
-    """One (year, age) observation of the conditional death probability."""
+class LifeTableColumns(NamedTuple):
+    """Integer years and ages and float ``qx``, one entry per record."""
 
-    year: int
-    age: int
-    qx: float
+    years: np.ndarray
+    ages: np.ndarray
+    qx: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,10 @@ def _parse_qx(token, line_number):
     return value
 
 
-def _split_lines(lines):
-    return map(str.split, lines)
+def _split_lines(lines, width=-1):
+    # Split at most ``width`` times: the columns after the last one read
+    # stay in one unsplit tail.
+    return map(str.split, lines, repeat(None), repeat(width))
 
 
 def _find_header(lines):
@@ -178,8 +184,14 @@ def _find_header(lines):
     raise SchemaError("no header line naming Year, Age and qx was found")
 
 
+def _convert_repeated(tokens, convert):
+    # Each distinct token of a column of few distinct values is converted once.
+    lookup = {token: convert(token) for token in set(tokens)}
+    return np.fromiter(map(lookup.__getitem__, tokens), dtype=int, count=len(tokens))
+
+
 def parse_lifetable(text_source, sex_filter=None):
-    """Parse life-table rows from a text source.
+    """Parse a life table from a text source into three columns.
 
     The header is the first line whose whitespace tokens or, failing
     that, CSV cells name ``Year``, ``Age`` and ``qx`` (case-insensitive);
@@ -189,7 +201,8 @@ def parse_lifetable(text_source, sex_filter=None):
     before the header are a free-text preamble in either layout, and
     blank records are skipped.  An open age group such as ``110+`` or
     ``100+`` is folded onto its lower bound.  The missing-value token
-    ``.`` is rejected rather than silently dropped.
+    ``.`` is rejected rather than silently dropped.  Columns are
+    converted in bulk; the first bad record raises, with its line number.
 
     Parameters
     ----------
@@ -202,7 +215,8 @@ def parse_lifetable(text_source, sex_filter=None):
 
     Returns
     -------
-    list of LifeTableRow
+    LifeTableColumns
+        The records kept, in file order.
 
     Raises
     ------
@@ -225,44 +239,68 @@ def parse_lifetable(text_source, sex_filter=None):
     header, tokenise, (year_col, age_col, qx_col), sex_col = _find_header(lines)
     width = 1 + max(year_col, age_col, qx_col, -1 if sex_col is None else sex_col)
     filter_sex = wanted is not None and sex_col is not None
-    rows = []
-    # Records are numbered from the header's line; a quoted CSV cell that
-    # spans lines counts as one record.
-    records = tokenise(lines[header + 1 :])
-    for line_number, record in enumerate(records, start=header + 2):
-        if not any(map(str.strip, record)):
-            continue
-        if len(record) < width:
-            raise ParseError(
-                f"expected at least {width} columns, got {len(record)}", line_number
-            )
-        if filter_sex and _normalize_sex(record[sex_col]) != wanted:
-            continue
-        rows.append(
-            LifeTableRow(
-                _parse_int(record[year_col], "year", line_number),
-                _parse_age(record[age_col], line_number),
-                _parse_qx(record[qx_col], line_number),
-            )
+    if tokenise is _split_lines:
+        tokenise = partial(_split_lines, width=width)
+
+    def read(check):
+        # The year and age tokens of the records kept, one object per
+        # distinct token, and their qx values; with ``check`` the token
+        # helpers read each record first.  Records are numbered from the
+        # header's line; a quoted CSV cell that spans lines is one record.
+        years, ages, qx, distinct = [], [], [], {}
+        records = tokenise(islice(lines, header + 1, None))
+        for line_number, record in enumerate(records, start=header + 2):
+            if not any(map(str.strip, record)):
+                continue
+            if len(record) < width:
+                raise ParseError(
+                    f"expected at least {width} columns, got {len(record)}", line_number
+                )
+            if filter_sex and _normalize_sex(record[sex_col]) != wanted:
+                continue
+            if check:
+                _parse_int(record[year_col], "year", line_number)
+                _parse_age(record[age_col], line_number)
+                _parse_qx(record[qx_col], line_number)
+            year, age = record[year_col], record[age_col]
+            years.append(distinct.setdefault(year, year))
+            ages.append(distinct.setdefault(age, age))
+            qx.append(float(record[qx_col]))
+        return years, ages, qx
+
+    try:
+        years, ages, qx = read(check=False)
+        table = LifeTableColumns(
+            _convert_repeated(years, int),
+            _convert_repeated(ages, lambda token: int(token.strip().removesuffix("+"))),
+            np.array(qx),
         )
-    return rows
+        if not np.all((table.qx >= 0.0) & (table.qx <= 1.0)):
+            raise DomainError("qx must lie in [0, 1]")
+        return table
+    except (ParseError, DomainError, ValueError):
+        # The helpers accept exactly the tokens these conversions accept,
+        # so reading the records again with them raises at the first fault.
+        read(check=True)
+        raise
 
 
-def rebuild_deaths(rows, radix=DEFAULT_RADIX):
+def rebuild_deaths(table, radix=DEFAULT_RADIX):
     """Regenerate death counts from conditional death probabilities.
 
-    For each year the survivorship recursion ``l_{u+1} = l_u (1 - q_u)``,
+    The ``qx`` are placed on a year-by-age grid, and for all years at once
+    the survivorship recursion ``l_{u+1} = l_u (1 - q_u)``,
     ``d_u = l_u q_u`` is run from ``l_0 = radix``; the terminal age group
-    ``T`` receives all remaining survivors, ``d_T = l_T``, so the raw counts
-    sum to the radix exactly.  Counts are then rounded to six decimal
-    places, entries below :data:`POSITIVITY_FLOOR` are lifted to it, and
-    the row is renormalised to the radix.
+    ``T`` receives all remaining survivors, ``d_T = l_T``, so the raw
+    counts sum to the radix exactly.  Counts are then rounded to six
+    decimal places, entries below :data:`POSITIVITY_FLOOR` are lifted to
+    it, and each row is renormalised to the radix.
 
     Parameters
     ----------
-    rows : iterable of LifeTableRow
-        Must cover ages ``0..T`` exactly once for every year present,
-        where the terminal age ``T`` is the highest age in the rows.
+    table : LifeTableColumns
+        Must cover ages ``0..T`` exactly once for every year present, in
+        any record order, where the terminal age ``T`` is the highest age.
     radix : float
         Cohort size each year is normalised to.
 
@@ -280,49 +318,57 @@ def rebuild_deaths(rows, radix=DEFAULT_RADIX):
     """
     if radix <= 0.0:
         raise DomainError("radix must be positive")
-    by_year: dict[int, dict[int, float]] = {}
-    for row in rows:
-        ages = by_year.setdefault(row.year, {})
-        if row.age in ages:
-            raise CompletenessError(f"year {row.year}: duplicate age {row.age}")
-        ages[row.age] = row.qx
-    if not by_year:
+    years, ages, qx = map(np.asarray, table)
+    if years.size == 0:
         raise CompletenessError("no rows to rebuild from")
-
-    terminal = max(max(ages) for ages in by_year.values())
-    expected = list(range(terminal + 1))
-    years = sorted(by_year)
-    deaths = np.empty((len(years), len(expected)))
-    for i, year in enumerate(years):
-        ages = by_year[year]
-        if sorted(ages) != expected:
-            missing = sorted(set(expected) - set(ages))
-            extra = sorted(set(ages) - set(expected))
-            raise CompletenessError(
-                f"year {year}: ages must cover 0..{terminal} exactly once"
-                f" (missing {missing[:5]}, unexpected {extra[:5]})"
-            )
-        qx = np.array([ages[a] for a in expected])
-        if qx[-1] != 1.0:
+    # A stable sort by year, then age, keeps the records of each pair in
+    # record order, so the repeat that comes first in the file is named.
+    order = np.lexsort((ages, years))
+    years, ages = years[order], ages[order]
+    new_year = np.diff(years) != 0
+    repeats = np.flatnonzero(~new_year & (np.diff(ages) == 0)) + 1
+    if repeats.size:
+        first = repeats[np.argmin(order[repeats])]
+        raise CompletenessError(f"year {years[first]}: duplicate age {ages[first]}")
+    starts = np.flatnonzero(np.concatenate(([True], new_year)))
+    ends = np.append(starts[1:], years.size)
+    width = int(ages.max()) + 1
+    # Without repeats, a year covers 0..T once when it has T + 1 ages and
+    # none below 0.  Years are checked in order, each for its ages first.
+    complete = (ends - starts == width) & (ages[starts] >= 0)
+    faulty = np.flatnonzero(~complete | (qx[order[ends - 1]] != 1.0))
+    if faulty.size:
+        i = faulty[0]
+        year, present = years[starts[i]], ages[starts[i] : ends[i]]
+        if complete[i]:
             raise DomainError(
-                f"year {year}: terminal age group must have qx = 1, got {qx[-1]}"
+                f"year {year}: terminal age group must have qx = 1,"
+                f" got {qx[order[ends[i] - 1]]}"
             )
-        deaths[i] = _survivorship_deaths(qx, radix)
+        # The first five missing ages lie below the number present plus five.
+        candidates = np.arange(min(width, present.size + 5))
+        missing = np.setdiff1d(candidates, present)[:5].tolist()
+        extra = present[present < 0][:5].tolist()
+        raise CompletenessError(
+            f"year {year}: ages must cover 0..{width - 1} exactly once"
+            f" (missing {missing}, unexpected {extra})"
+        )
+    grid = qx[order].reshape(-1, width)
 
-    deaths = np.round(deaths, 6)
+    deaths = np.round(_survivorship_deaths(grid, radix), 6)
     deaths = np.maximum(deaths, POSITIVITY_FLOOR)
     deaths *= radix / deaths.sum(axis=1, keepdims=True)
     return LifeTableGrid(
-        years=np.array(years), ages=np.array(expected), deaths=deaths, radix=radix
+        years=years[starts], ages=np.arange(width), deaths=deaths, radix=radix
     )
 
 
 def _survivorship_deaths(qx, radix):
-    # Terminal closure d_D = l_D makes the raw counts sum to the radix
-    # regardless of rounding in qx.
-    survivors = radix * np.concatenate([[1.0], np.cumprod(1.0 - qx[:-1])])
+    # One table per row.  Terminal closure d_D = l_D makes the raw counts
+    # sum to the radix regardless of rounding in qx.
+    survivors = radix * np.cumprod(np.insert(1.0 - qx[..., :-1], 0, 1.0, axis=-1), axis=-1)
     deaths = survivors * qx
-    deaths[-1] = survivors[-1]
+    deaths[..., -1] = survivors[..., -1]
     return deaths
 
 

@@ -20,8 +20,8 @@ from .coda import inverse_clr, trapezoid_weights
 from .errors import DomainError, check_integer
 from .lifetable import (
     DEFAULT_RADIX,
+    LifeTableColumns,
     LifeTableGrid,
-    LifeTableRow,
     rebuild_deaths,
 )
 
@@ -65,16 +65,16 @@ def make_synthetic_grid(n_years=50, seed=0, start_year=1950, radix=DEFAULT_RADIX
     infant_level = 0.012
     infant_improvement = 0.02
 
-    rows = []
+    qx = np.empty((n, ages.size))
     for t in range(n):
         level = base_level * np.exp(-improvement * t + 0.01 * rng.standard_normal())
         infant = infant_level * np.exp(-infant_improvement * t)
         hazard = level * np.exp(slope * ages) + infant * np.exp(-ages / 2.0)
-        qx = 1.0 - np.exp(-hazard)
-        qx[-1] = 1.0
-        year = start_year + t
-        rows.extend(LifeTableRow(year, int(a), float(q)) for a, q in zip(ages, qx))
-    return rebuild_deaths(rows, radix=radix)
+        qx[t] = 1.0 - np.exp(-hazard)
+    qx[:, -1] = 1.0
+    years = np.repeat(np.arange(start_year, start_year + n), ages.size)
+    table = LifeTableColumns(years, np.tile(ages, n), qx.ravel())
+    return rebuild_deaths(table, radix=radix)
 
 
 def make_factor_grid(

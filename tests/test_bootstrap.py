@@ -125,6 +125,22 @@ def test_ets_prefix_fits_match_the_two_pass_replay_bit_for_bit(x):
             assert (level[j, i], trend[j, i]) == _two_pass_ets(x[j, : i + 1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 80)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    )
+)
+def test_ets_last_prefix_fit_equals_the_last_column_of_every_prefix(x):
+    level, trend = _fit_ets_prefixes(x)
+    last_level, last_trend = _fit_ets_prefixes(x, last_only=True)
+    assert last_level.shape == last_trend.shape == (x.shape[0], 1)
+    assert last_level.tobytes() == level[:, -1:].tobytes()
+    assert last_trend.tobytes() == trend[:, -1:].tobytes()
+
+
 def _drift_oracle(x, horizons):
     m = x.size
     drift = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0

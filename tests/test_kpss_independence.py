@@ -17,12 +17,14 @@ from codaboot import (
     DomainError,
     InsufficientDataError,
     IndependenceResult,
+    bartlett_weight,
     clr,
     difference_series,
     functional_kpss_pvalue,
     independence_test,
     long_run_covariance,
     make_synthetic_grid,
+    plugin_bandwidth,
     trapezoid_weights,
 )
 from codaboot.fts import _chi2_upper_tail
@@ -48,11 +50,23 @@ def _kpss_oracle(values, weights):
     n = values.shape[0]
     design = np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = values - design @ coef
+    fitted = design @ coef
+    resid = values - fitted
     numerator = float((np.cumsum(resid, axis=0) ** 2 @ weights).sum()) / n**2
     denominator = float(np.diag(long_run_covariance(resid).values) @ weights)
-    if denominator <= 1e-14 * max(1.0, numerator):
-        return 0.0 if numerator <= 1e-14 else np.inf
+    # Each part evaluated on the magnitudes of the terms the residuals are
+    # differences of; an exact trend leaves a part that is rounding noise
+    # of these, which counts as 0 when at most 1e-12 times them.
+    size = np.abs(values) + np.abs(fitted)
+    num_scale = float((np.cumsum(size, axis=0) ** 2 @ weights).sum()) / n**2
+    h = plugin_bandwidth(values)
+    den_scale = sum(
+        bartlett_weight(lag / h) * (1.0 if lag == 0 else 2.0)
+        * float((size[: n - lag] * size[lag:]).sum(axis=0) @ weights) / n
+        for lag in range(n)
+    )
+    if denominator <= 1e-12 * den_scale:
+        return 0.0 if numerator <= 1e-12 * num_scale else np.inf
     return numerator / denominator
 
 
@@ -151,6 +165,7 @@ def test_kpss_reads_an_exact_trend_as_zero(n, slope):
     values = level + slope * np.outer(np.arange(n), step)
     series = ClrSeries(years=np.arange(n), grid=GRID, values=values)
     assert functional_kpss_pvalue(series, n_permutations=19, seed=1) == (0.0, 1.0)
+    assert _kpss_pvalue_oracle(series, 19, 1) == (0.0, 1.0)
 
 
 def test_kpss_reads_an_all_zero_series_as_zero():
