@@ -51,19 +51,28 @@ def _check_method(method):
         )
 
 
+def _ar_max_order(m):
+    """Highest candidate AR order of a prefix of length ``m``: order ``p``
+    needs ``m - p >= p + 3`` targets, so no candidate fits them exactly."""
+    return np.minimum(_AR_MAX_ORDER, (m - 3) // 2)
+
+
+def _aicc(rss, n_eff, order):
+    """AICc (Hurvich and Tsai, 1989) of an AR(``order``) fit with a mean."""
+    k = order + 1
+    sigma2 = np.maximum(rss / n_eff, 1e-300)
+    return n_eff * np.log(sigma2) + 2.0 * k + 2.0 * k * (k + 1) / (n_eff - k - 1)
+
+
 def _fit_ar_aic(x):
-    """Select an AR order by AIC and return (mean, coefficients)."""
+    """Select an AR order by AICc and return (mean, coefficients)."""
     m = x.size
     mean = x.mean()
     xd = x - mean
-    max_order = min(_AR_MAX_ORDER, m - 2)
-    if max_order < 1:
-        return mean, np.empty(0)
     best_aic = np.inf
     best_coef = np.empty(0)
-    for order in range(0, max_order + 1):
+    for order in range(_ar_max_order(m) + 1):
         target = xd[order:]
-        n_eff = target.size
         if order == 0:
             rss = float(target @ target)
             coef = np.empty(0)
@@ -72,8 +81,7 @@ def _fit_ar_aic(x):
             coef, *_ = np.linalg.lstsq(lagged, target, rcond=None)
             resid = target - lagged @ coef
             rss = float(resid @ resid)
-        sigma2 = max(rss / n_eff, 1e-300)
-        aic = n_eff * np.log(sigma2) + 2.0 * (order + 1)
+        aic = _aicc(rss, target.size, order)
         if aic < best_aic:
             best_aic = aic
             best_coef = coef
@@ -157,85 +165,79 @@ def _drift_every_prefix(scores, h_max):
 
 
 def _ar_aic_batched(x, h_max):
-    """AR-AIC forecasts of every prefix of every row of ``x``.
+    """AR-AICc forecasts of every prefix of every row of ``x``.
 
     ``x`` is a ``(k, n)`` stack.  Returns ``(table, order, fallback)``:
     ``table[j, i]`` holds the ``1 .. h_max`` step forecasts of
     ``x[j, : i + 1]`` as :func:`_forecast_ar_aic` defines them,
-    ``order[j, i]`` the AR order AIC selected for it, and
+    ``order[j, i]`` the AR order AICc selected for it, and
     ``fallback[j, i]`` whether that prefix was fitted by
     :func:`_forecast_ar_aic` itself (its ``order`` is then -1).
 
-    Every prefix's demeaned lag Gram matrix, for every order, is a
-    difference of running sums of the lag products ``z_s z_{s+d}`` and of
-    ``z_s`` (``z`` is the row less its full mean), corrected for the
-    prefix mean; one batched ``solve`` per order fits all prefixes, and
-    one recursion over zero-padded coefficients forecasts them.  These
-    sums round differently from a least-squares fit of each prefix, so a
-    prefix is handed to :func:`_forecast_ar_aic` wherever that rounding
-    could change the selected order or visibly move a forecast: when
-    some candidate order has fewer than ``p + 3`` targets, a lag Gram
-    matrix has eigenvalue ratio at most ``1e-4``, a residual sum of
-    squares is at most ``1e-4`` of its target sum of squares, a target
-    sum of squares is at most ``1e-3`` of the raw sum of squares that the
-    running sums cancel down to it, the two best AICs lie within
-    ``1e-6``, or a forecast strays from the prefix mean by more than ten
-    times the prefix's largest deviation from it.
+    Every prefix's demeaned lag Gram matrix, for every candidate order
+    (:func:`_ar_max_order`; the others rank last), is a difference of
+    running sums of the lag products ``z_s z_{s+d}`` and of ``z_s`` (``z``
+    is the row less its full mean), corrected for the prefix mean; one
+    batched ``solve`` per order fits all prefixes, and one recursion over
+    zero-padded coefficients forecasts them.  These sums round differently
+    from a least-squares fit of each prefix, so a prefix is handed to
+    :func:`_forecast_ar_aic` wherever that rounding could change the
+    selected order or visibly move a forecast: when a lag Gram matrix has
+    eigenvalue ratio at most ``1e-4``, a residual sum of squares is at
+    most ``1e-4`` of its target sum of squares, a target sum of squares is
+    at most ``1e-3`` of the raw sum of squares that the running sums
+    cancel down to it, the two best AICcs lie within ``1e-6``, or a
+    forecast strays from the prefix mean by more than ten times the
+    prefix's largest deviation from it.
     """
     k, n = x.shape
     p_max = _AR_MAX_ORDER
-    mean = np.cumsum(x, axis=1) / np.arange(1, n + 1)
-    coef = np.zeros((k, n, p_max))
-    order = np.full((k, n), -1)
-    fallback = np.ones((k, n), dtype=bool)
-    # Prefixes shorter than 2p + 3 leave order p fewer than p + 3 targets.
-    m = np.arange(2 * p_max + 3, n + 1)
-    if m.size:
-        z = x - x.mean(axis=1, keepdims=True)
-        z_sum = np.zeros((k, n + 1))
-        np.cumsum(z, axis=1, out=z_sum[:, 1:])
-        # lag_sum[d][:, u] is the sum of z_s z_{s+d} over s < u.
-        lag_sum = np.zeros((p_max + 1, k, n + 1))
-        for d in range(p_max + 1):
-            np.cumsum(z[:, : n - d] * z[:, d:], axis=1, out=lag_sum[d, :, 1 : n + 1 - d])
-        mu = z_sum[:, m] / m
-        energy = lag_sum[0][:, m]
-        aic = np.empty((k, m.size, p_max + 1))
-        fitted = np.zeros((p_max + 1, k, m.size, p_max))
-        suspect = np.zeros((k, m.size), dtype=bool)
-        for p in range(p_max + 1):
-            n_eff = m - p
-            # Demeaned products of lags a, b over the targets t = p .. m - 1.
-            span = [z_sum[:, m - a] - z_sum[:, p - a, None] for a in range(p + 1)]
-            gram = np.empty((k, m.size, p + 1, p + 1))
-            for a in range(p + 1):
-                for b in range(a, p + 1):
-                    raw = lag_sum[b - a][:, m - b] - lag_sum[b - a][:, p - b, None]
-                    gram[..., a, b] = gram[..., b, a] = (
-                        raw - mu * (span[a] + span[b]) + n_eff * mu * mu
-                    )
-            yy = gram[..., 0, 0]
-            rss = yy
-            if p:
-                lagged = gram[..., 1:, 1:]
-                rhs = gram[..., 1:, 0]
-                eig = np.linalg.eigvalsh(lagged)
-                ill = eig[..., 0] <= 1e-4 * eig[..., -1]
-                suspect |= ill
-                lagged[ill] = np.eye(p)
-                c = np.linalg.solve(lagged, rhs[..., None])[..., 0]
-                fitted[p, ..., :p] = c
-                rss = yy - np.einsum("...i,...i->...", c, rhs)
-            suspect |= (rss <= 1e-4 * yy) | (yy <= 1e-3 * energy)
-            sigma2 = np.maximum(rss / n_eff, 1e-300)
-            aic[..., p] = n_eff * np.log(sigma2) + 2.0 * (p + 1)
-        best = aic.argmin(axis=2)
-        two = np.partition(aic, 1, axis=2)
-        suspect |= two[..., 1] - two[..., 0] <= 1e-6
-        best[suspect] = 0
-        coef[:, m - 1] = np.take_along_axis(fitted, best[None, ..., None], axis=0)[0]
-        order[:, m - 1] = best
-        fallback[:, m - 1] = suspect
+    m = np.arange(1, n + 1)
+    mean = np.cumsum(x, axis=1) / m
+    z = x - x.mean(axis=1, keepdims=True)
+    z_sum = np.zeros((k, n + 1))
+    np.cumsum(z, axis=1, out=z_sum[:, 1:])
+    # lag_sum[d][:, u] is the sum of z_s z_{s+d} over s < u.
+    lag_sum = np.zeros((p_max + 1, k, n + 1))
+    for d in range(_ar_max_order(n) + 1):
+        np.cumsum(z[:, : n - d] * z[:, d:], axis=1, out=lag_sum[d, :, 1 : n + 1 - d])
+    aic = np.full((k, n, p_max + 1), np.inf)
+    fitted = np.zeros((p_max + 1, k, n, p_max))
+    fallback = np.zeros((k, n), dtype=bool)
+    for p in range(_ar_max_order(n) + 1):
+        cand = p <= _ar_max_order(m)
+        mc = m[cand]
+        n_eff = mc - p
+        mu = z_sum[:, mc] / mc
+        # Demeaned products of lags a, b over the targets t = p .. m - 1.
+        span = [z_sum[:, mc - a] - z_sum[:, p - a, None] for a in range(p + 1)]
+        gram = np.empty((k, mc.size, p + 1, p + 1))
+        for a in range(p + 1):
+            for b in range(a, p + 1):
+                raw = lag_sum[b - a][:, mc - b] - lag_sum[b - a][:, p - b, None]
+                gram[..., a, b] = gram[..., b, a] = (
+                    raw - mu * (span[a] + span[b]) + n_eff * mu * mu
+                )
+        yy = gram[..., 0, 0]
+        rss = yy
+        if p:
+            lagged = gram[..., 1:, 1:]
+            rhs = gram[..., 1:, 0]
+            eig = np.linalg.eigvalsh(lagged)
+            ill = eig[..., 0] <= 1e-4 * eig[..., -1]
+            fallback[:, cand] |= ill
+            lagged[ill] = np.eye(p)
+            c = np.linalg.solve(lagged, rhs[..., None])[..., 0]
+            fitted[p][:, cand, :p] = c
+            rss = yy - np.einsum("...i,...i->...", c, rhs)
+        fallback[:, cand] |= (rss <= 1e-4 * yy) | (yy <= 1e-3 * lag_sum[0][:, mc])
+        aic[:, cand, p] = _aicc(rss, n_eff, p)
+    order = aic.argmin(axis=2)
+    two = np.partition(aic, 1, axis=2)
+    # A prefix with no candidate order compares inf with inf and keeps its mean.
+    with np.errstate(invalid="ignore"):
+        fallback |= two[..., 1] - two[..., 0] <= 1e-6
+    coef = np.take_along_axis(fitted, order[None, ..., None], axis=0)[0]
 
     # history[..., p_max - 1 - j] holds the demeaned value j steps before
     # the prefix end; each step appends its forecast.  A recursion that
@@ -271,14 +273,12 @@ def _ets_every_prefix(scores, h_max):
 # the ``1 .. h_max`` step forecasts of column ``j`` of the ``(n, k)``
 # ``scores`` from its first ``i + 1`` values, down to a single value,
 # which every method extrapolates flat.  The drift and ETS tables equal
-# their scalar fits bit for bit.  The AR-AIC table solves every prefix's
-# normal equations from running lag sums and hands a prefix to the scalar
-# least-squares fit when some candidate order has fewer than p + 3
-# targets, a lag Gram matrix has eigenvalue ratio at most 1e-4, a residual
-# sum of squares is at most 1e-4 of its target's, a target sum of squares
-# is at most 1e-3 of the raw sum it was cancelled from, the two best AICs
-# lie within 1e-6, or a forecast strays from the prefix mean by more than
-# ten times the prefix's largest deviation from it.
+# their scalar fits bit for bit.  The AR-AICc table ranks the orders p
+# that leave a prefix at least p + 3 targets by AICc, fitted from running
+# lag sums, and hands a prefix to the scalar least-squares fit where a
+# numeric guard of _ar_aic_batched fires: an ill-conditioned lag Gram
+# matrix, a near-exact fit, cancellation, an AICc near-tie or a runaway
+# forecast.
 _PREFIX_TABLES = {
     "random_walk_drift": _drift_every_prefix,
     "ar_aic": _ar_aic_every_prefix,
@@ -332,14 +332,14 @@ def build_error_pools(
         One of :data:`SCORE_METHODS` for each score group.
         ``"random_walk_drift"`` extrapolates the endpoint with the
         average historical step and suits integrated scores;
-        ``"ar_aic"`` fits an autoregression with the order (up to 5)
-        chosen by AIC and reverts to the mean, for stationary scores;
-        every prefix is fitted in one pass of :func:`_ar_aic_batched`,
-        from running sums of lag products, and a prefix whose fit that
-        rounding could change (a short prefix, an ill-conditioned or
-        near-exact fit, an AIC near-tie, a runaway forecast) is refitted
-        alone by least squares, so the selected orders are the scalar
-        ones and the forecasts agree with them to rounding;
+        ``"ar_aic"`` fits an autoregression with the order (up to 5,
+        leaving at least ``p + 3`` targets) chosen by AICc and reverts to
+        the mean, for stationary scores; every prefix is fitted in one
+        pass of :func:`_ar_aic_batched`, from running sums of lag
+        products, and a prefix whose fit that rounding could change (an
+        ill-conditioned or near-exact fit, a cancelled sum of squares,
+        an AICc near-tie, a runaway forecast) is refitted alone, so the
+        orders are the scalar ones and forecasts agree to rounding;
         ``"ets_like"`` extrapolates the level and trend of an
         additive-trend exponential smoother, every prefix fitted in one
         pass of :func:`_fit_ets_prefixes`.

@@ -23,6 +23,7 @@ from codaboot import (
     MethodConfig,
     bartlett_weight,
     bootstrap_forecast_path,
+    build_error_pools,
     clr,
     ecp,
     fit_dfm,
@@ -57,6 +58,10 @@ RADIX = 100000.0
 # Interval tolerance of the batched AR-AIC prefix fits: every band within
 # this fraction of the radix of the per-prefix least-squares path.
 AR_BAND_TOLERANCE = 1e-9
+
+# Largest residual-stage pool error, in standard deviations of its score
+# column, that a sound AR-AICc fit of the default pools leaves.
+POOL_SCALE_BOUND = 100.0
 
 # Interval tolerance of the batched Lee-Carter refits: every band within
 # this fraction of the radix of refitting each pseudo-sample by its SVD.
@@ -353,6 +358,29 @@ def test_batched_ar_fits_keep_bands_within_the_stated_tolerance(capsys, monkeypa
         ok,
         f"{n_bands} bands, max |dev| / radix {dev:.1e}, AR orders"
         f" {'identical' if orders_same else 'differ'}",
+    )
+
+
+def test_ar_aic_pools_stay_on_the_scale_of_their_scores(capsys):
+    # Every default residual-stage (AR-AICc) pool error stays within
+    # POOL_SCALE_BOUND standard deviations of its score column.  An order
+    # that fits a short prefix's targets exactly forecasts it explosively.
+    worst = []
+    for grid in (
+        make_synthetic_grid(100, seed=7),
+        make_synthetic_grid(60, seed=3),
+        make_factor_grid(80, 31, seed=0),
+    ):
+        fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+        pools = build_error_pools(fit, 20)
+        scale = fit.residual_scores.std(axis=0)
+        worst.append(max(float(np.max(np.abs(pool) / scale)) for pool in pools.residual))
+    ok = max(worst) <= POOL_SCALE_BOUND
+    _verdict(
+        capsys,
+        "ar-aic-pool-scale",
+        ok,
+        "worst |error| / score sd " + ", ".join(f"{r:.3g}" for r in worst),
     )
 
 

@@ -318,11 +318,20 @@ def _twice_integrated():
     return np.cumsum(np.cumsum(steps))[:, None]
 
 
+def _short_noise(m):
+    return np.random.default_rng(m).normal(size=(m, 2))
+
+
 @settings(max_examples=25, deadline=None)
 @given(scores=_score_stacks(), h_max=st.integers(1, 25))
 @example(scores=_flat_then_noisy(), h_max=20)
 @example(scores=_steep_trend(), h_max=20)
 @example(scores=_twice_integrated(), h_max=20)
+@example(scores=_short_noise(1), h_max=5)
+@example(scores=_short_noise(2), h_max=5)
+@example(scores=_short_noise(3), h_max=5)
+@example(scores=_short_noise(4), h_max=5)
+@example(scores=_short_noise(12), h_max=5)
 def test_batched_ar_aic_table_matches_the_scalar_fit_of_every_prefix(scores, h_max):
     table, order, fallback = _ar_aic_batched(scores.T, h_max)
     np.testing.assert_array_equal(table, _PREFIX_TABLES["ar_aic"](scores, h_max))
@@ -331,6 +340,9 @@ def test_batched_ar_aic_table_matches_the_scalar_fit_of_every_prefix(scores, h_m
     for j in range(k):
         x = scores[:, j]
         for i in range(n):
+            scalar_order = _fit_ar_aic(x[: i + 1])[1].size
+            # Order p is fitted only to prefixes that leave it p + 3 targets.
+            assert scalar_order <= max(0, (i - 2) // 2)
             expected = _forecast_ar_aic(x[: i + 1], h_max)
             if fallback[j, i]:
                 np.testing.assert_array_equal(table[j, i], expected)
@@ -339,18 +351,29 @@ def test_batched_ar_aic_table_matches_the_scalar_fit_of_every_prefix(scores, h_m
                 np.testing.assert_allclose(
                     table[j, i], expected, rtol=0, atol=_ar_tolerance(x)
                 )
-                assert order[j, i] == _fit_ar_aic(x[: i + 1])[1].size
+                assert order[j, i] == scalar_order
 
 
-def test_only_short_prefixes_of_white_noise_fall_back_to_the_scalar_fit():
-    # Below 2 * 5 + 3 values some candidate order has fewer than p + 3
-    # targets, so the running sums are never trusted there; every longer
-    # prefix of a well-conditioned series is fitted in the batched pass.
+def test_no_prefix_of_white_noise_falls_back_to_the_scalar_fit():
+    # Every prefix of a well-conditioned series, down to a single value,
+    # is fitted in the batched pass, with at most order (m - 3) // 2 for a
+    # prefix of length m; below three values no order is a candidate and
+    # the forecast is the prefix mean.
     x = np.random.default_rng(3).normal(size=(2, 40))
-    _, order, fallback = _ar_aic_batched(x, 3)
-    assert fallback[:, :12].all()
-    assert not fallback[:, 12:].any()
-    assert (order[:, 12:] >= 0).all()
+    table, order, fallback = _ar_aic_batched(x, 3)
+    m = np.arange(3, 41)
+    assert not fallback.any()
+    assert (order[:, 2:] <= (m - 3) // 2).all()
+    np.testing.assert_array_equal(order[:, :2], 0)
+    np.testing.assert_array_equal(table[:, 0], np.repeat(x[:, :1], 3, axis=1))
+
+
+def test_aicc_does_not_fit_the_targets_of_a_short_prefix_exactly():
+    # Order 3 fits the three targets of these six values exactly, so plain
+    # AIC would rank it first on rounding noise.  AICc admits only orders
+    # with at least p + 3 targets: order 1 at most.
+    x = np.array([0.3, -1.2, 0.8, 0.1, -0.5, 1.0])
+    assert _fit_ar_aic(x)[1].size <= 1
 
 
 def _fixture_fit(seed=2, n=40, d=10, residual=1):
