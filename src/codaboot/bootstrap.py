@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import inverse_clr
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InsufficientDataError,
-    PoolError,
-    check_integer,
-)
+from .errors import ConfigurationError, InsufficientDataError, PoolError, check_integer
 
 SCORE_METHODS = ("random_walk_drift", "ar_aic", "ets_like")
 
@@ -309,9 +303,7 @@ class ErrorPool:
     residual_central: np.ndarray
 
 
-def build_error_pools(
-    fit, max_horizon, primary_method="random_walk_drift", residual_method="ar_aic"
-):
+def build_error_pools(fit, max_horizon, primary_method="random_walk_drift"):
     """Error pools and central forecasts of every component of a fit.
 
     Each score series is forecast ``1 .. max_horizon`` steps ahead from
@@ -328,8 +320,9 @@ def build_error_pools(
     max_horizon : int
         Pools are built for horizons ``1 .. max_horizon``, with
         ``fit.n - max_horizon >= 3``.
-    primary_method, residual_method : str
-        One of :data:`SCORE_METHODS` for each score group.
+    primary_method : str
+        One of :data:`SCORE_METHODS` for the primary scores; the residual
+        scores always use ``"ar_aic"``.
         ``"random_walk_drift"`` extrapolates the endpoint with the
         average historical step and suits integrated scores;
         ``"ar_aic"`` fits an autoregression with the order (up to 5,
@@ -349,11 +342,8 @@ def build_error_pools(
     ErrorPool
     """
     _check_method(primary_method)
-    _check_method(residual_method)
-    h_max = check_integer(max_horizon, "max_horizon")
+    h_max = check_integer(max_horizon, "max_horizon", minimum=1)
     n = fit.n
-    if h_max < 1:
-        raise DomainError(f"max_horizon must be at least 1, got {max_horizon}")
     if n - h_max < 3:
         raise InsufficientDataError(
             f"need at least max_horizon + 3 = {h_max + 3} curves, got {n}"
@@ -369,7 +359,7 @@ def build_error_pools(
         return errors, table[:, -1].T
 
     primary, primary_central = pools_for(fit.primary_scores, primary_method)
-    residual, residual_central = pools_for(fit.residual_scores, residual_method)
+    residual, residual_central = pools_for(fit.residual_scores, "ar_aic")
     return ErrorPool(
         fit=fit,
         max_horizon=h_max,
@@ -477,12 +467,8 @@ def assemble_forecast(
     -------
     BootstrapForecast
     """
-    h = check_integer(horizon, "horizon")
-    b = check_integer(n_samples, "n_samples")
-    if h < 1:
-        raise DomainError(f"horizon must be at least 1, got {horizon}")
-    if b < 1:
-        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
+    h = check_integer(horizon, "horizon", minimum=1)
+    b = check_integer(n_samples, "n_samples", minimum=1)
     if error_pool.max_horizon < h:
         raise PoolError(
             f"error pool covers horizons up to {error_pool.max_horizon}, need {h}"
@@ -524,26 +510,25 @@ def bootstrap_forecast_path(
     levels=(0.8, 0.95),
     rng_seed=0,
     primary_method="random_walk_drift",
-    residual_method="ar_aic",
 ):
     """Bootstrap forecasts for every horizon ``1 .. max_horizon``.
 
     One error pool, with the central forecasts, is built for the whole
     path and shared.  Each horizon receives its own child of
-    ``rng_seed``, spawned in horizon order, so the path is reproducible
-    as a whole and per horizon.
+    ``rng_seed``, spawned in horizon order from a copy of it, so the path
+    is reproducible as a whole and per horizon, and a ``SeedSequence``
+    passed in is not advanced: the same object always gives the same path.
 
     Returns
     -------
     list of BootstrapForecast
     """
-    pools = build_error_pools(
-        fit, max_horizon, primary_method=primary_method, residual_method=residual_method
+    pools = build_error_pools(fit, max_horizon, primary_method=primary_method)
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        rng_seed = np.random.SeedSequence(rng_seed)
+    root = np.random.SeedSequence(
+        rng_seed.entropy, spawn_key=rng_seed.spawn_key, pool_size=rng_seed.pool_size
     )
-    if isinstance(rng_seed, np.random.SeedSequence):
-        root = rng_seed
-    else:
-        root = np.random.SeedSequence(rng_seed)
     seeds = root.spawn(pools.max_horizon)
     return [
         assemble_forecast(

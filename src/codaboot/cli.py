@@ -218,19 +218,12 @@ def _cmd_diagnose(config):
     grid = _load_grid(config)
     series = clr(grid)
     rows = []
-
-    stat, pval = functional_kpss_pvalue(
-        series, n_permutations=config.kpss_permutations, seed=config.seed
-    )
-    decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
-    rows.append(["stationarity_raw", _format(stat), _format(pval), decision])
-
-    differenced = difference_series(series)
-    stat, pval = functional_kpss_pvalue(
-        differenced, n_permutations=config.kpss_permutations, seed=config.seed
-    )
-    decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
-    rows.append(["stationarity_differenced", _format(stat), _format(pval), decision])
+    for name, tested in (("raw", series), ("differenced", difference_series(series))):
+        stat, pval = functional_kpss_pvalue(
+            tested, n_permutations=config.kpss_permutations, seed=config.seed
+        )
+        decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
+        rows.append([f"stationarity_{name}", _format(stat), _format(pval), decision])
 
     method = dataclasses.replace(_method_config(config), force_residual_stage=False)
     outcome = fit_dfm_for(series, method).independence

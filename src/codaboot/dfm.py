@@ -165,10 +165,8 @@ def fit_dfm(
     n, d = series.values.shape
     if n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {n}")
-    r = check_integer(n_primary, "n_primary")
+    r = check_integer(n_primary, "n_primary", minimum=1)
     q = check_integer(n_residual, "n_residual")
-    if r < 1:
-        raise DomainError(f"n_primary must be at least 1, got {n_primary}")
     if q < 0:
         raise DomainError(f"n_residual must be nonnegative, got {n_residual}")
     if r > d or q > d:

@@ -61,10 +61,14 @@ class ConfigurationError(CodabootError):
     """A configuration value or combination of values is invalid."""
 
 
-def check_integer(value, name, error=DomainError):
+def check_integer(value, name, error=DomainError, minimum=None):
     """``value`` as an ``int``; a float, even an integral one, raises
-    ``error`` instead of being truncated.  Python and numpy integers pass."""
+    ``error`` instead of being truncated.  Python and numpy integers pass.
+    With a ``minimum``, a smaller value raises ``error`` too."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise error(f"{name} must be at least {minimum}, got {number}")
+    return number

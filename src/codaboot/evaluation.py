@@ -101,17 +101,9 @@ class BacktestPlan:
     configs: tuple = (MethodConfig(),)
 
     def __post_init__(self):
-        for name in ("initial_window", "max_horizon"):
-            value = check_integer(getattr(self, name), name, ConfigurationError)
+        for name, minimum in (("initial_window", 10), ("max_horizon", 1)):
+            value = check_integer(getattr(self, name), name, ConfigurationError, minimum)
             object.__setattr__(self, name, value)
-        if self.initial_window < 10:
-            raise ConfigurationError(
-                f"initial_window must be at least 10, got {self.initial_window}"
-            )
-        if self.max_horizon < 1:
-            raise ConfigurationError(
-                f"max_horizon must be at least 1, got {self.max_horizon}"
-            )
         if not self.configs:
             raise ConfigurationError("plan needs at least one method config")
         object.__setattr__(self, "levels", _check_levels(self.levels))
@@ -198,13 +190,19 @@ MODEL_FORECASTERS = {
 def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     """Run every configured method through the expanding-window scheme.
 
-    Randomness is pre-split per (config, window) from ``rng_seed``, so
-    the report does not depend on ``n_jobs`` or on the order in which
-    windows finish.  Each window keeps only its per-horizon ``lower``
-    and ``upper`` bands, which is all that scoring reads; its forecasts
-    and their bootstrap samples are released as soon as it finishes, so
-    memory does not grow with the number of windows.  Only the CLI's
-    ``forecast --dump-samples`` keeps bootstrap curves.
+    Every (config, window) pair is one task, and the tasks go through one
+    ``map``: the builtin one when ``n_jobs == 1``, so a serial run stays on
+    the calling thread and stops at the first window that raises, and a
+    thread pool's otherwise.  Randomness is pre-split per (config, window)
+    from ``rng_seed``, so the report does not depend on ``n_jobs`` or on
+    the order in which windows finish.  Each window keeps only its
+    per-horizon ``lower`` and ``upper`` bands, which is all that scoring
+    reads; its forecasts and their bootstrap samples are released as soon
+    as it finishes, so memory does not grow with the number of windows.
+    Only the CLI's ``forecast --dump-samples`` keeps bootstrap curves.
+    Horizon ``h`` is scored on the first ``n - initial_window + 1 - h``
+    windows, against the held-out curves from row ``initial_window + h - 1``
+    of the grid on.
 
     Parameters
     ----------
@@ -222,9 +220,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     """
     if not isinstance(grid, LifeTableGrid):
         raise DomainError("grid must be a LifeTableGrid")
-    n_jobs = check_integer(n_jobs, "n_jobs", ConfigurationError)
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be at least 1, got {n_jobs}")
+    n_jobs = check_integer(n_jobs, "n_jobs", ConfigurationError, minimum=1)
     n = grid.n_years
     w0 = plan.initial_window
     h_max = plan.max_horizon
@@ -252,69 +248,57 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     # under the trapezoid rule; holdouts are scored in that convention.
     weights = trapezoid_weights(grid.ages)
     observed = grid.deaths * (grid.radix / (grid.deaths @ weights))[:, None]
-    windows = list(range(w0, n))
-    root = np.random.SeedSequence(rng_seed)
-    config_seqs = root.spawn(len(plan.configs))
+    windows = range(w0, n)
+    config_seqs = np.random.SeedSequence(rng_seed).spawn(len(plan.configs))
+    tasks = [
+        (config, window, seed)
+        for config, config_seq in zip(plan.configs, config_seqs)
+        for window, seed in zip(windows, config_seq.spawn(len(windows)))
+    ]
 
-    def run_window(config, window, seed):
-        sub = series_prefix(series, window)
-        horizons = min(h_max, n - window)
+    def run_window(task):
+        config, window, seed = task
+        # Looked up per call, so entries registered or wrapped after
+        # import are the ones that run.
         forecaster = MODEL_FORECASTERS[config.model]
-        forecasts = forecaster(sub, config, horizons, plan.levels, seed)
+        sub = series_prefix(series, window)
+        forecasts = forecaster(sub, config, min(h_max, n - window), plan.levels, seed)
         # Scoring reads only the bands; returning them alone frees the
         # window's bootstrap samples as soon as it finishes.
         return [(f.lower, f.upper) for f in forecasts]
 
-    tasks = []
-    for ci, config in enumerate(plan.configs):
-        window_seqs = config_seqs[ci].spawn(len(windows))
-        for wi, window in enumerate(windows):
-            tasks.append((ci, wi, plan.configs[ci], window, window_seqs[wi]))
-
-    results = {}
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = {
-                pool.submit(run_window, config, window, seed): (ci, wi)
-                for ci, wi, config, window, seed in tasks
-            }
-            for future, key in futures.items():
-                results[key] = future.result()
+    if n_jobs == 1:
+        bands = list(map(run_window, tasks))
     else:
-        for ci, wi, config, window, seed in tasks:
-            results[(ci, wi)] = run_window(config, window, seed)
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            bands = list(pool.map(run_window, tasks))
 
     rows = []
     for ci, config in enumerate(plan.configs):
+        paths = bands[ci * len(windows) : (ci + 1) * len(windows)]
         for level in plan.levels:
             ecp_by_h = np.empty(h_max)
-            counts = np.empty(h_max, dtype=int)
             for h in range(1, h_max + 1):
-                holdouts = []
-                lowers = []
-                uppers = []
-                for wi, window in enumerate(windows):
-                    if n - window < h:
-                        continue
-                    lower, upper = results[(ci, wi)][h - 1]
-                    holdouts.append(observed[window + h - 1])
-                    lowers.append(lower[level])
-                    uppers.append(upper[level])
-                counts[h - 1] = len(holdouts)
-                # Horizon h collects one forecast per window that still has
-                # h holdout years, which is (n - w0) + 1 - h of them.
+                # Window i forecasts year w0 + i + h - 1 at horizon h, so
+                # the first n - w0 + 1 - h windows score against one slice.
+                scored = paths[: len(windows) + 1 - h]
                 ecp_by_h[h - 1] = ecp(
-                    np.array(holdouts), np.array(lowers), np.array(uppers), h, n - w0
+                    observed[w0 + h - 1 :],
+                    [path[h - 1][0][level] for path in scored],
+                    [path[h - 1][1][level] for path in scored],
+                    h,
+                    len(windows),
                 )
             cpd_by_h = np.abs(ecp_by_h - level)
+            horizons = np.arange(1, h_max + 1)
             rows.append(
                 BacktestRow(
                     label=config.label,
                     model=config.model,
                     components=str(config.components),
                     level=level,
-                    horizons=np.arange(1, h_max + 1),
-                    window_counts=counts,
+                    horizons=horizons,
+                    window_counts=len(windows) + 1 - horizons,
                     ecp_by_horizon=ecp_by_h,
                     cpd_by_horizon=cpd_by_h,
                     ecp_bar=float(ecp_by_h.mean()),

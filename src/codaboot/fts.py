@@ -349,9 +349,7 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
         The observed statistic and the permutation p-value
         ``(1 + #{permuted >= observed}) / (1 + n_permutations)``.
     """
-    n_permutations = check_integer(n_permutations, "n_permutations")
-    if n_permutations < 1:
-        raise DomainError("need at least one permutation")
+    n_permutations = check_integer(n_permutations, "n_permutations", minimum=1)
     if series.n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {series.n}")
     forms = _kpss_forms(series.n, plugin_bandwidth(series))
@@ -443,12 +441,8 @@ def independence_test(residuals, lag_count=5, projection_dim=3, grid=None):
     """
     values, g = _series_values(residuals, grid)
     m = values.shape[0]
-    lags = check_integer(lag_count, "lag_count")
-    dim = check_integer(projection_dim, "projection_dim")
-    if lags < 1:
-        raise DomainError(f"lag_count must be at least 1, got {lag_count}")
-    if dim < 1:
-        raise DomainError(f"projection_dim must be at least 1, got {projection_dim}")
+    lags = check_integer(lag_count, "lag_count", minimum=1)
+    dim = check_integer(projection_dim, "projection_dim", minimum=1)
     if m < lags + 5:
         raise InsufficientDataError(
             f"need at least lag_count + 5 = {lags + 5} curves, got {m}"

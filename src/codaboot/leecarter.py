@@ -233,12 +233,8 @@ def lc_bootstrap_path(
     -------
     list of BootstrapForecast
     """
-    h_max = check_integer(max_horizon, "max_horizon")
-    b = check_integer(n_samples, "n_samples")
-    if h_max < 1:
-        raise DomainError(f"max_horizon must be at least 1, got {max_horizon}")
-    if b < 1:
-        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
+    h_max = check_integer(max_horizon, "max_horizon", minimum=1)
+    b = check_integer(n_samples, "n_samples", minimum=1)
     if resample not in RESAMPLE_MODES:
         raise ConfigurationError(
             f"resample must be one of {RESAMPLE_MODES}, got {resample!r}"

@@ -482,18 +482,13 @@ def _outer_assembly(error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng
 
 
 def _dfm_forecasts(grid):
-    """Factor-model bootstrap paths on ``grid``, one per score method used
-    for both score groups."""
+    """Factor-model bootstrap paths on ``grid``, one per primary score
+    method."""
     fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
     forecasts = {}
     for method in SCORE_METHODS:
         path = bootstrap_forecast_path(
-            fit,
-            5,
-            n_samples=300,
-            rng_seed=3,
-            primary_method=method,
-            residual_method=method,
+            fit, 5, n_samples=300, rng_seed=3, primary_method=method
         )
         for fc in path:
             forecasts[(method, fc.horizon)] = fc

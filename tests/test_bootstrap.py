@@ -597,6 +597,24 @@ def test_path_accepts_a_seed_sequence():
     np.testing.assert_array_equal(path[0].samples, again[0].samples)
 
 
+def test_path_reuses_a_seed_sequence_without_advancing_it():
+    # Like assemble_forecast and lc_bootstrap_path, the path is a function
+    # of the sequence it is given: a second call with the same object
+    # draws the same curves, and the caller's sequence has spawned nothing.
+    fit = _fixture_fit()
+    root = np.random.SeedSequence(7).spawn(2)[1]
+    first = bootstrap_forecast_path(fit, max_horizon=3, n_samples=50, rng_seed=root)
+    second = bootstrap_forecast_path(fit, max_horizon=3, n_samples=50, rng_seed=root)
+    assert root.n_children_spawned == 0
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.samples, b.samples)
+    seeds = np.random.SeedSequence(7).spawn(2)[1].spawn(3)
+    single = assemble_forecast(
+        build_error_pools(fit, 3), horizon=3, n_samples=50, rng_seed=seeds[2]
+    )
+    np.testing.assert_array_equal(first[2].samples, single.samples)
+
+
 def test_intervals_widen_with_horizon_on_integrated_scores():
     # Pool spread grows with the horizon for a random-walk factor, so the
     # average band width should too.

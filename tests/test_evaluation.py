@@ -1,10 +1,13 @@
 """Coverage metrics and the expanding-window backtest harness."""
 
+import threading
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codaboot import (
     BacktestPlan,
@@ -283,6 +286,98 @@ def test_backtest_empty_bounds_cover_nothing():
     for row in report.rows:
         np.testing.assert_array_equal(row.ecp_by_horizon, np.zeros(2))
         assert row.cpd_bar == pytest.approx(row.level)
+
+
+_SCORED_GRID = make_factor_grid(n_years=30, n_ages=6, seed=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    initial_window=st.integers(10, 27),
+    data=st.data(),
+    levels=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3, unique=True),
+    n_jobs=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backtest_scores_match_a_per_window_per_age_count(
+    initial_window, data, levels, n_jobs, seed
+):
+    # Random bands (lower <= upper) around each window's own holdout, some
+    # with a bound exactly on it, scored by hand one window and one age at
+    # a time.
+    grid = _SCORED_GRID
+    n, d = grid.deaths.shape
+    max_horizon = data.draw(st.integers(1, min(n - initial_window, initial_window - 3)))
+    target = grid.deaths * (grid.radix / (grid.deaths @ trapezoid_weights(grid.ages)))[:, None]
+    drawn = {}
+
+    def scripted(series, config, horizons, levels, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        out = []
+        for h in range(1, horizons + 1):
+            y = target[series.n + h - 1]
+            lower, upper = {}, {}
+            for l in levels:
+                lo = np.where(rng.random(d) < 0.2, y, y * rng.uniform(0.85, 1.05, d))
+                up = np.where(rng.random(d) < 0.2, y, y * rng.uniform(0.95, 1.15, d))
+                lower[l], upper[l] = lo, np.maximum(lo, up)
+            drawn[(series.n, h)] = (lower, upper)
+            out.append(_ScriptedForecast(lower=lower, upper=upper))
+        return out
+
+    plan = BacktestPlan(
+        initial_window=initial_window,
+        max_horizon=max_horizon,
+        levels=tuple(levels),
+        configs=(MethodConfig(model="scripted", components="one"),),
+    )
+    MODEL_FORECASTERS["scripted"] = scripted
+    try:
+        report = run_backtest(grid, plan, rng_seed=seed, n_jobs=n_jobs)
+    finally:
+        del MODEL_FORECASTERS["scripted"]
+
+    for row in report.rows:
+        for h in range(1, max_horizon + 1):
+            windows = [w for w in range(initial_window, n) if w + h <= n]
+            misses = 0
+            for w in windows:
+                lower, upper = drawn[(w, h)]
+                for a in range(d):
+                    y = target[w + h - 1, a]
+                    misses += y < lower[row.level][a] or y > upper[row.level][a]
+            assert row.window_counts[h - 1] == len(windows)
+            assert row.ecp_by_horizon[h - 1] == 1.0 - misses / (len(windows) * d)
+
+
+def test_a_serial_backtest_stops_at_the_first_window_that_raises():
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
+    calls = []
+
+    def failing(series, config, horizons, levels, rng_seed):
+        calls.append((config.components, series.n, threading.current_thread()))
+        if series.n == 26:
+            raise RuntimeError("window 26 failed")
+        band = {l: np.zeros(series.grid.size) for l in levels}
+        return [_ScriptedForecast(lower=band, upper=band)] * horizons
+
+    plan = BacktestPlan(
+        initial_window=24,
+        max_horizon=3,
+        levels=(0.8,),
+        configs=(
+            MethodConfig(model="scripted", components="one"),
+            MethodConfig(model="scripted", components="six"),
+        ),
+    )
+    MODEL_FORECASTERS["scripted"] = failing
+    try:
+        with pytest.raises(RuntimeError, match="window 26 failed"):
+            run_backtest(grid, plan, n_jobs=1)
+    finally:
+        del MODEL_FORECASTERS["scripted"]
+    main = threading.main_thread()
+    assert calls == [("one", 24, main), ("one", 25, main), ("one", 26, main)]
 
 
 def test_windows_release_their_samples_before_the_next_window():
