@@ -505,7 +505,9 @@ def _build_parser():
         "--jobs",
         type=int,
         help="worker threads over windows (default: 1); each window keeps only"
-        " its bands, so memory does not grow with the number of windows",
+        " its bands, so memory does not grow with the number of windows."
+        " Windows run on one thread of numpy's bundled OpenBLAS, when found,"
+        " so outputs depend on neither --jobs nor OPENBLAS_NUM_THREADS",
     )
     return parser
 

@@ -15,6 +15,9 @@ across horizons for the summary.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +67,7 @@ def ecp(holdouts, lowers, uppers, horizon, max_horizon):
             f"horizon {h} of a max-horizon-{h_max} scheme has {expected} windows,"
             f" got {d.shape[0]}"
         )
-    misses = int(np.sum(d > up)) + int(np.sum(d < lo))
+    misses = int(np.sum((d > up) | (d < lo)))
     return 1.0 - misses / d.size
 
 
@@ -212,7 +215,9 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     rng_seed : int
     n_jobs : int
         Worker threads for the window loop, at least 1; 1 runs serially.
-        At most ``n_jobs`` windows hold bootstrap samples at once.
+        At most ``n_jobs`` windows hold bootstrap samples at once.  Either
+        way the windows run on one thread of numpy's bundled OpenBLAS, when
+        found, so the report does not depend on ``OPENBLAS_NUM_THREADS``.
 
     Returns
     -------
@@ -267,11 +272,12 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
         # window's bootstrap samples as soon as it finishes.
         return [(f.lower, f.upper) for f in forecasts]
 
-    if n_jobs == 1:
-        bands = list(map(run_window, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            bands = list(pool.map(run_window, tasks))
+    with _one_blas_thread():
+        if n_jobs == 1:
+            bands = list(map(run_window, tasks))
+        else:
+            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                bands = list(pool.map(run_window, tasks))
 
     rows = []
     for ci, config in enumerate(plan.configs):
@@ -306,6 +312,38 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
                 )
             )
     return BacktestReport(plan=plan, n_years=n, rows=tuple(rows))
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)`` thread counts of numpy's bundled OpenBLAS, else None."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(root + ".libs/*openblas*")
+    paths += glob.glob(root + "/.dylibs/*openblas*")
+    # Loading a library numpy has already loaded returns that library.
+    for lib in map(ctypes.CDLL, paths):
+        # numpy >= 2 wheels, numpy 1.2x wheels, then a plain OpenBLAS.
+        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            pair = tuple(getattr(lib, name.format(f"{verb}_num_threads"), None)
+                         for verb in ("set", "get"))
+            if None not in pair:
+                return pair
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the bundled OpenBLAS, process-wide, to one thread, then restore."""
+    set_threads, get_threads = _openblas_threads() or (lambda n: None, lambda: 1)
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def series_prefix(series, length):

@@ -23,7 +23,7 @@ from codaboot import (
 )
 from codaboot.bootstrap import BootstrapForecast
 from codaboot.coda import clr
-from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for
+from codaboot.evaluation import MODEL_FORECASTERS, _openblas_threads, fit_dfm_for
 
 
 def test_ecp_trivial_cases():
@@ -38,6 +38,13 @@ def test_ecp_counts_bound_ties_as_covered():
     lowers = np.full((1, 3), 4.0)
     uppers = np.full((1, 3), 6.0)
     assert ecp(holdouts, lowers, uppers, 3, 3) == 1.0
+
+
+def test_ecp_counts_a_point_outside_an_inverted_band_once():
+    # The first point lies above its upper bound and below its lower one,
+    # which is one miss; the second point is covered.
+    assert ecp([[5.0, 5.0]], [[6.0, 0.0]], [[4.0, 9.0]], 1, 1) == 0.5
+    assert ecp([[5.0, 5.0]], [[6.0, 6.0]], [[4.0, 4.0]], 1, 1) == 0.0
 
 
 def test_ecp_matches_double_loop_oracle():
@@ -378,6 +385,49 @@ def test_a_serial_backtest_stops_at_the_first_window_that_raises():
         del MODEL_FORECASTERS["scripted"]
     main = threading.main_thread()
     assert calls == [("one", 24, main), ("one", 25, main), ("one", 26, main)]
+
+
+@pytest.mark.skipif(
+    _openblas_threads() is None,
+    reason="numpy's bundled OpenBLAS exports no known thread-count symbol",
+)
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_backtest_windows_run_on_one_blas_thread_and_restore_the_count(n_jobs):
+    set_threads, get_threads = _openblas_threads()
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
+    seen = []
+
+    def counting(series, config, horizons, levels, rng_seed):
+        seen.append(get_threads())
+        if config.components == "six" and series.n == 26:
+            raise RuntimeError("window 26 failed")
+        band = {l: np.zeros(series.grid.size) for l in levels}
+        return [_ScriptedForecast(lower=band, upper=band)] * horizons
+
+    def plan(components):
+        return BacktestPlan(
+            initial_window=24,
+            max_horizon=3,
+            levels=(0.8,),
+            configs=(MethodConfig(model="scripted", components=components),),
+        )
+
+    original = get_threads()
+    MODEL_FORECASTERS["scripted"] = counting
+    try:
+        # A count other than the default and other than the pin, so that
+        # a run which leaves the pin or resets to the default shows.
+        set_threads(3)
+        run_backtest(grid, plan("one"), n_jobs=n_jobs)
+        assert get_threads() == 3
+        with pytest.raises(RuntimeError, match="window 26 failed"):
+            run_backtest(grid, plan("six"), n_jobs=n_jobs)
+        assert get_threads() == 3
+    finally:
+        del MODEL_FORECASTERS["scripted"]
+        set_threads(original)
+    assert len(seen) >= 6 + 3
+    assert set(seen) == {1}
 
 
 def test_windows_release_their_samples_before_the_next_window():
