@@ -9,6 +9,10 @@ run writes a ``config.json`` with the fully resolved settings next to its
 outputs; passing that file back through ``--config`` reproduces the run
 byte for byte.
 
+Each subcommand computes its tables from the loaded grid and returns them
+with a one-line message; :func:`main` alone writes files, every CSV cell
+through :func:`_cell`.
+
 Exit codes: 0 on success, 1 on a data or configuration error (reported as
 one ``error kind=...`` line on stderr), 2 on a usage error.
 """
@@ -20,6 +24,9 @@ import dataclasses
 import json
 import os
 import sys
+import typing
+
+import numpy as np
 
 from .coda import clr
 from .bootstrap import SCORE_METHODS, _check_levels
@@ -37,12 +44,10 @@ from .leecarter import RESAMPLE_MODES
 from .lifetable import gini_coefficient, parse_lifetable, rebuild_deaths
 from .synthetic import make_synthetic_grid
 
-SUBCOMMANDS = ("ingest", "diagnose", "fit", "forecast", "backtest", "gini")
-
 
 @dataclasses.dataclass
 class RunConfig:
-    """Fully resolved settings of one CLI run."""
+    """Fully resolved settings of one CLI run; the only home of their defaults."""
 
     subcommand: str
     input: str | None = None
@@ -55,7 +60,7 @@ class RunConfig:
     initial_window: int | None = None
     max_horizon: int = 20
     replications: int = 1000
-    levels: tuple = (0.8, 0.95)
+    levels: tuple[float, ...] = (0.8, 0.95)
     seed: int = 0
     method: str = "random_walk_drift"
     lc_resample: str = "entries"
@@ -79,15 +84,41 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(f"config file is not valid JSON: {error}") from None
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"config file must hold a JSON object, got {type(data).__name__}"
+            )
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
         if "subcommand" not in data:
             raise ConfigurationError("config file must name its subcommand")
-        data["levels"] = tuple(float(l) for l in data.get("levels", (0.8, 0.95)))
+        for name, value in data.items():
+            if not _json_fits(value, hints[name]):
+                raise ConfigurationError(
+                    f"config field {name!r} must be {cls.__annotations__[name]},"
+                    f" got {value!r}"
+                )
+        if "levels" in data:
+            data["levels"] = _check_levels(data["levels"])
         return cls(**data)
+
+
+def _json_fits(value, hint):
+    """Whether a decoded JSON value fits a field's annotation: a float field
+    takes any JSON number, null fits only an optional field, and a boolean
+    is never a number."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_fits(v, float) for v in value)
+    kinds = typing.get_args(hint) or (hint,)
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, kinds) and isinstance(value, bool) == (bool in kinds)
 
 
 def _method_config(config):
@@ -161,19 +192,30 @@ def _parse_levels(text):
     return _check_levels(levels)
 
 
-def _format(value):
-    return f"{value:.10g}"
-
-
 def _level_tag(level):
     return f"{level * 100:g}".replace(".", "p")
+
+
+def _cell(value):
+    """The one text form of a CSV cell: a string as given, an integer in
+    full, and a float to ten significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.10g}"
 
 
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(row) + "\n")
+            handle.write(",".join(map(_cell, row)) + "\n")
+
+
+def _labelled(labels, rows):
+    """Rows that each start with a label; as lazy as ``rows`` is."""
+    return ([label, *row] for label, row in zip(labels, rows))
 
 
 def _load_grid(config):
@@ -183,39 +225,24 @@ def _load_grid(config):
     return rebuild_deaths(table)
 
 
-def _write_config(config):
-    os.makedirs(config.out, exist_ok=True)
-    with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as handle:
-        handle.write(config.to_json())
+# Every command maps ``(config, grid)`` to ``(tables, message)``: a list of
+# ``(file name, header, rows)`` and the line printed once they are written.
 
 
-def _cmd_ingest(config):
-    grid = _load_grid(config)
-    header = ["year"] + [f"age_{a}" for a in grid.ages]
-    rows = [
-        [str(year)] + [f"{v:.6f}" for v in grid.deaths[i]]
-        for i, year in enumerate(grid.years)
-    ]
-    _write_config(config)
-    _write_csv(os.path.join(config.out, "grid.csv"), header, rows)
-    print(f"wrote grid.csv with {grid.n_years} years x {grid.n_ages} ages")
-    return 0
+def _cmd_ingest(config, grid):
+    header = ["year"] + [f"age_{a}" for a in grid.ages.tolist()]
+    deaths = ([f"{v:.6f}" for v in row] for row in grid.deaths.tolist())
+    tables = [("grid.csv", header, _labelled(grid.years.tolist(), deaths))]
+    return tables, f"wrote grid.csv with {grid.n_years} years x {grid.n_ages} ages"
 
 
-def _cmd_gini(config):
-    grid = _load_grid(config)
-    rows = [
-        [str(year), _format(gini_coefficient(grid.deaths[i]))]
-        for i, year in enumerate(grid.years)
-    ]
-    _write_config(config)
-    _write_csv(os.path.join(config.out, "gini.csv"), ["year", "gini"], rows)
-    print(f"wrote gini.csv for {grid.n_years} years")
-    return 0
+def _cmd_gini(config, grid):
+    years = grid.years.tolist()
+    rows = [(year, gini_coefficient(d)) for year, d in zip(years, grid.deaths)]
+    return [("gini.csv", ["year", "gini"], rows)], f"wrote gini.csv for {len(years)} years"
 
 
-def _cmd_diagnose(config):
-    grid = _load_grid(config)
+def _cmd_diagnose(config, grid):
     series = clr(grid)
     rows = []
     for name, tested in (("raw", series), ("differenced", difference_series(series))):
@@ -223,148 +250,75 @@ def _cmd_diagnose(config):
             tested, n_permutations=config.kpss_permutations, seed=config.seed
         )
         decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
-        rows.append([f"stationarity_{name}", _format(stat), _format(pval), decision])
+        rows.append([f"stationarity_{name}", stat, pval, decision])
 
     method = dataclasses.replace(_method_config(config), force_residual_stage=False)
     outcome = fit_dfm_for(series, method).independence
-    if outcome.degenerate:
-        decision = "degenerate"
-    elif outcome.dependent():
-        decision = "dependent"
-    else:
-        decision = "independent"
-    rows.append(
-        [
-            "residual_independence",
-            _format(outcome.statistic),
-            _format(outcome.p_value),
-            decision,
-        ]
-    )
-
-    _write_config(config)
-    _write_csv(
-        os.path.join(config.out, "diagnostics.csv"),
-        ["name", "statistic", "p_value", "decision"],
-        rows,
-    )
-    print("wrote diagnostics.csv")
-    return 0
+    decision = "dependent" if outcome.dependent() else "independent"
+    decision = "degenerate" if outcome.degenerate else decision
+    rows.append(["residual_independence", outcome.statistic, outcome.p_value, decision])
+    header = ["name", "statistic", "p_value", "decision"]
+    return [("diagnostics.csv", header, rows)], "wrote diagnostics.csv"
 
 
-def _cmd_fit(config):
-    grid = _load_grid(config)
+def _cmd_fit(config, grid):
     fitted = fit_dfm_for(clr(grid), _method_config(config))
-    _write_config(config)
-    out = config.out
-
-    ages = [str(a) for a in grid.ages]
-    _write_csv(
-        os.path.join(out, "mean_curve.csv"),
-        ["age", "value"],
-        [[a, _format(v)] for a, v in zip(ages, fitted.mean_curve)],
-    )
-
-    def dump_basis(name, basis):
-        header = ["age"] + [f"component_{k + 1}" for k in range(basis.n_components)]
-        rows = [
-            [ages[i]] + [_format(basis.functions[k, i]) for k in range(basis.n_components)]
-            for i in range(grid.n_ages)
-        ]
-        _write_csv(os.path.join(out, name), header, rows)
-
-    def dump_scores(name, scores):
-        header = ["year"] + [f"component_{k + 1}" for k in range(scores.shape[1])]
-        rows = [
-            [str(year)] + [_format(v) for v in scores[i]]
-            for i, year in enumerate(grid.years)
-        ]
-        _write_csv(os.path.join(out, name), header, rows)
-
-    dump_basis("primary_basis.csv", fitted.primary_basis)
-    dump_scores("primary_scores.csv", fitted.primary_scores)
-    dump_basis("residual_basis.csv", fitted.residual_basis)
-    dump_scores("residual_scores.csv", fitted.residual_scores)
-    _write_csv(
-        os.path.join(out, "final_residuals.csv"),
-        ["year"] + [f"age_{a}" for a in grid.ages],
-        [
-            [str(year)] + [_format(v) for v in fitted.final_residuals[i]]
-            for i, year in enumerate(grid.years)
-        ],
-    )
-
+    ages, years = grid.ages.tolist(), grid.years.tolist()
+    tables = [("mean_curve.csv", ["age", "value"], zip(ages, fitted.mean_curve.tolist()))]
     summary = []
-    for k, value in enumerate(fitted.primary_basis.eigenvalues):
-        summary.append(["primary", str(k + 1), _format(value)])
-    for k, value in enumerate(fitted.residual_basis.eigenvalues):
-        summary.append(["residual", str(k + 1), _format(value)])
-    summary.append(
-        [
-            "independence_p_value",
-            "",
-            _format(fitted.independence.p_value),
-        ]
-    )
-    summary.append(["residual_stage_ran", "", str(fitted.residual_stage_ran).lower()])
-    _write_csv(
-        os.path.join(out, "fit_summary.csv"), ["name", "index", "value"], summary
-    )
-    print(
+    for stage, basis, scores in (
+        ("primary", fitted.primary_basis, fitted.primary_scores),
+        ("residual", fitted.residual_basis, fitted.residual_scores),
+    ):
+        components = [f"component_{k + 1}" for k in range(basis.n_components)]
+        rows = _labelled(ages, basis.functions.T.tolist())
+        tables.append((f"{stage}_basis.csv", ["age"] + components, rows))
+        rows = _labelled(years, scores.tolist())
+        tables.append((f"{stage}_scores.csv", ["year"] + components, rows))
+        summary += [(stage, k + 1, v) for k, v in enumerate(basis.eigenvalues.tolist())]
+    summary.append(("independence_p_value", "", fitted.independence.p_value))
+    summary.append(("residual_stage_ran", "", str(fitted.residual_stage_ran).lower()))
+    residuals = _labelled(years, fitted.final_residuals.tolist())
+    tables.append(("final_residuals.csv", ["year"] + [f"age_{a}" for a in ages], residuals))
+    tables.append(("fit_summary.csv", ["name", "index", "value"], summary))
+    message = (
         f"fit {fitted.n_primary} primary + {fitted.n_residual} residual components"
         f" on {grid.n_years} years"
     )
-    return 0
+    return tables, message
 
 
-def _cmd_forecast(config):
-    grid = _load_grid(config)
-    if config.model == "dfm":
-        forecaster = forecast_dfm
-    elif config.model == "lc":
-        forecaster = forecast_lc
-    else:
+def _cmd_forecast(config, grid):
+    forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}.get(config.model)
+    if forecaster is None:
         raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
     forecasts = forecaster(
         clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
     )
-    _write_config(config)
-
+    ages = grid.ages.tolist()
+    header = ["age", "point"]
+    for level in config.levels:
+        header += [f"lower_{_level_tag(level)}", f"upper_{_level_tag(level)}"]
+    tables = []
     for forecast in forecasts:
-        header = ["age", "point"]
+        columns = [forecast.point]
         for level in config.levels:
-            tag = _level_tag(level)
-            header += [f"lower_{tag}", f"upper_{tag}"]
-        rows = []
-        for i, age in enumerate(grid.ages):
-            row = [str(age), _format(forecast.point[i])]
-            for level in config.levels:
-                row.append(_format(forecast.lower[level][i]))
-                row.append(_format(forecast.upper[level][i]))
-            rows.append(row)
-        name = f"forecast_h{forecast.horizon:02d}.csv"
-        _write_csv(os.path.join(config.out, name), header, rows)
+            columns += [forecast.lower[level], forecast.upper[level]]
+        columns = np.column_stack(columns)
+        rows = _labelled(ages, columns.tolist())
+        tables.append((f"forecast_h{forecast.horizon:02d}.csv", header, rows))
         if config.dump_samples:
-            sample_header = ["age"] + [
-                f"sample_{b + 1}" for b in range(forecast.samples.shape[0])
-            ]
-            sample_rows = [
-                [str(age)] + [_format(v) for v in forecast.samples[:, i]]
-                for i, age in enumerate(grid.ages)
-            ]
-            _write_csv(
-                os.path.join(config.out, f"samples_h{forecast.horizon:02d}.csv"),
-                sample_header,
-                sample_rows,
-            )
-    print(
-        f"wrote {len(forecasts)} horizon files with {config.replications} replicates each"
-    )
-    return 0
+            samples = forecast.samples
+            sample_header = ["age"] + [f"sample_{b + 1}" for b in range(samples.shape[0])]
+            # Converted one age at a time, as written, to hold no more
+            # Python floats than one row.
+            rows = _labelled(ages, map(np.ndarray.tolist, samples.T))
+            tables.append((f"samples_h{forecast.horizon:02d}.csv", sample_header, rows))
+    replicates = f"{config.replications} replicates each"
+    return tables, f"wrote {len(forecasts)} horizon files with {replicates}"
 
 
-def _cmd_backtest(config):
-    grid = _load_grid(config)
+def _cmd_backtest(config, grid):
     initial = config.initial_window
     if initial is None:
         initial = grid.n_years - config.max_horizon
@@ -375,45 +329,22 @@ def _cmd_backtest(config):
         configs=(_method_config(config),),
     )
     report = run_backtest(grid, plan, rng_seed=config.seed, n_jobs=config.jobs)
-    _write_config(config)
-
-    summary_rows = []
+    tables = []
     for row in report.rows:
-        tag = _level_tag(row.level)
-        name = f"horizons_{row.label}_{tag}.csv"
-        _write_csv(
-            os.path.join(config.out, name),
-            ["horizon", "windows", "ecp", "cpd"],
-            [
-                [
-                    str(int(row.horizons[i])),
-                    str(int(row.window_counts[i])),
-                    _format(row.ecp_by_horizon[i]),
-                    _format(row.cpd_by_horizon[i]),
-                ]
-                for i in range(row.horizons.size)
-            ],
-        )
-        summary_rows.append(
-            [
-                row.label,
-                row.model,
-                row.components,
-                _format(row.level),
-                _format(row.ecp_bar),
-                _format(row.cpd_bar),
-            ]
-        )
-    _write_csv(
-        os.path.join(config.out, "summary.csv"),
-        ["label", "model", "components", "level", "ecp_bar", "cpd_bar"],
-        summary_rows,
-    )
-    print(f"wrote summary.csv with {len(report.rows)} rows")
-    return 0
+        columns = (row.horizons, row.window_counts, row.ecp_by_horizon, row.cpd_by_horizon)
+        rows = zip(*(column.tolist() for column in columns))
+        name = f"horizons_{row.label}_{_level_tag(row.level)}.csv"
+        tables.append((name, ["horizon", "windows", "ecp", "cpd"], rows))
+    summary = [
+        (row.label, row.model, row.components, row.level, row.ecp_bar, row.cpd_bar)
+        for row in report.rows
+    ]
+    header = ["label", "model", "components", "level", "ecp_bar", "cpd_bar"]
+    tables.append(("summary.csv", header, summary))
+    return tables, f"wrote summary.csv with {len(report.rows)} rows"
 
 
-_RUNNERS = {
+_COMMANDS = {
     "ingest": _cmd_ingest,
     "gini": _cmd_gini,
     "diagnose": _cmd_diagnose,
@@ -424,6 +355,7 @@ _RUNNERS = {
 
 
 def _build_parser():
+    # No option has a default: RunConfig supplies every value left out.
     parser = argparse.ArgumentParser(
         prog="codaboot",
         description="Bootstrap interval forecasts of life-table death counts.",
@@ -437,33 +369,34 @@ def _build_parser():
     common.add_argument(
         "--synthetic", type=int, metavar="N", help="use N years of synthetic data instead"
     )
-    common.add_argument("--synthetic-seed", type=int, default=0)
+    common.add_argument("--synthetic-seed", type=int)
     common.add_argument(
         "--sex", choices=("female", "male", "total"), help="filter when a Sex column exists"
     )
-    common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
+    common.add_argument("--out", help="output directory (default: .)")
+    common.add_argument("--seed", type=int, help="random seed (default: 0)")
 
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", choices=("dfm", "lc"), default="dfm")
+    model.add_argument("--model", choices=("dfm", "lc"))
     model.add_argument(
-        "--components",
-        default="six",
-        help="'one', 'six' or an explicit count per stage (default: six)",
+        "--components", help="'one', 'six' or an explicit count per stage (default: six)"
     )
     model.add_argument("--bandwidth", type=float, help="override the plug-in bandwidth")
     model.add_argument(
         "--no-force-residual-stage",
         dest="force_residual_stage",
         action="store_false",
+        default=None,
         help="let the independence test decide whether the residual stage runs",
     )
-    model.add_argument("--method", choices=SCORE_METHODS, default="random_walk_drift")
-    model.add_argument("--lc-resample", choices=RESAMPLE_MODES, default="entries")
-    model.add_argument("--lags", type=int, default=5, help="independence-test lags")
-    model.add_argument(
-        "--dim", type=int, default=3, help="independence-test projection dimension"
-    )
+    model.add_argument("--method", choices=SCORE_METHODS)
+    model.add_argument("--lc-resample", choices=RESAMPLE_MODES)
+    model.add_argument("--lags", type=int, help="independence-test lags")
+    model.add_argument("--dim", type=int, help="independence-test projection dimension")
+
+    bands = argparse.ArgumentParser(add_help=False)
+    bands.add_argument("--replications", type=int)
+    bands.add_argument("--levels", help="comma-separated percentages")
 
     sub.add_parser("ingest", parents=[common], help="rebuild and dump the grid")
     sub.add_parser("gini", parents=[common], help="per-year concentration of deaths")
@@ -472,35 +405,31 @@ def _build_parser():
         "diagnose", parents=[common, model], help="stationarity and independence checks"
     )
     diag.add_argument(
-        "--kpss-permutations",
-        type=int,
-        default=199,
-        help="permutations behind the stationarity p-value",
+        "--kpss-permutations", type=int, help="permutations behind the stationarity p-value"
     )
 
     sub.add_parser("fit", parents=[common, model], help="export the decomposition")
 
     fc = sub.add_parser(
-        "forecast", parents=[common, model], help="bootstrap interval forecasts"
+        "forecast", parents=[common, model, bands], help="bootstrap interval forecasts"
     )
-    fc.add_argument("--horizon-max", type=int, default=20, dest="max_horizon")
-    fc.add_argument("--replications", type=int, default=1000)
-    fc.add_argument("--levels", default="80,95", help="comma-separated percentages")
+    fc.add_argument("--horizon-max", type=int, dest="max_horizon")
     fc.add_argument(
-        "--dump-samples", action="store_true", help="also write every bootstrap curve"
+        "--dump-samples",
+        action="store_true",
+        default=None,
+        help="also write every bootstrap curve",
     )
 
     bt = sub.add_parser(
-        "backtest", parents=[common, model], help="expanding-window evaluation"
+        "backtest", parents=[common, model, bands], help="expanding-window evaluation"
     )
     bt.add_argument(
         "--initial-window",
         type=int,
         help="first training length (default: years - max horizon)",
     )
-    bt.add_argument("--max-horizon", type=int, default=20)
-    bt.add_argument("--replications", type=int, default=1000)
-    bt.add_argument("--levels", default="80,95", help="comma-separated percentages")
+    bt.add_argument("--max-horizon", type=int)
     bt.add_argument(
         "--jobs",
         type=int,
@@ -513,6 +442,11 @@ def _build_parser():
 
 
 def _config_from_args(args, parser):
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(RunConfig)
+        if getattr(args, field.name, None) is not None
+    }
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = RunConfig.from_json(handle.read())
@@ -522,25 +456,16 @@ def _config_from_args(args, parser):
                 f" but {args.subcommand!r} was invoked"
             )
         # Placement always comes from the command line, never the config.
-        config = dataclasses.replace(config, out=args.out)
-        if getattr(args, "jobs", None) is not None:
-            config = dataclasses.replace(config, jobs=args.jobs)
-        return config
+        placement = {name: given.get(name, getattr(RunConfig, name)) for name in ("out", "jobs")}
+        return dataclasses.replace(config, **placement)
 
     if args.input is None and args.synthetic is None:
         parser.error("one of --input or --synthetic is required")
     if args.input is not None and args.synthetic is not None:
         parser.error("--input and --synthetic are mutually exclusive")
-
-    values = vars(args)
-    fields = {
-        field.name: values[field.name]
-        for field in dataclasses.fields(RunConfig)
-        if values.get(field.name) is not None
-    }
-    if "levels" in fields:
-        fields["levels"] = _parse_levels(fields["levels"])
-    return RunConfig(**fields)
+    if "levels" in given:
+        given["levels"] = _parse_levels(given["levels"])
+    return RunConfig(**given)
 
 
 def main(argv=None):
@@ -549,9 +474,14 @@ def main(argv=None):
     try:
         config = _config_from_args(args, parser)
         _check_model_options(config)
-        if config.subcommand not in _RUNNERS:
-            raise ConfigurationError(f"unknown subcommand {config.subcommand!r}")
-        return _RUNNERS[config.subcommand](config)
+        tables, message = _COMMANDS[config.subcommand](config, _load_grid(config))
+        os.makedirs(config.out, exist_ok=True)
+        with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as handle:
+            handle.write(config.to_json())
+        for name, header, rows in tables:
+            _write_csv(os.path.join(config.out, name), header, rows)
+        print(message)
+        return 0
     except (CodabootError, OSError) as error:
         print(f"error kind={type(error).__name__}: {error}", file=sys.stderr)
         return 1

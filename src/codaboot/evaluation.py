@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,8 +43,11 @@ def ecp(holdouts, lowers, uppers, horizon, max_horizon):
     lowers, uppers : array_like
         Matching interval bounds, same shape.
     horizon, max_horizon : int
-        Identify where in the expanding-window scheme this batch sits;
-        used to validate the expected number of windows.
+        Where the batch sits in the expanding-window scheme; they fix the
+        expected number of windows.  ``max_horizon`` is the scheme's
+        window count, ``n - initial_window``, which is also the furthest
+        horizon any window reaches: :func:`run_backtest` passes that
+        count, not its plan's ``max_horizon``.
 
     Returns
     -------
@@ -334,16 +338,30 @@ def _openblas_threads():
     return None
 
 
+_BLAS_LOCK = threading.Lock()
+_BLAS_PIN = {"depth": 0, "saved": None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Pin the bundled OpenBLAS, process-wide, to one thread, then restore."""
+    """Pin the bundled OpenBLAS, process-wide, to one thread, then restore.
+
+    Overlapping pins share one: the first entry saves the thread count and
+    the last exit restores it.
+    """
     set_threads, get_threads = _openblas_threads() or (lambda n: None, lambda: 1)
-    previous = get_threads()
-    set_threads(1)
+    with _BLAS_LOCK:
+        if _BLAS_PIN["depth"] == 0:
+            _BLAS_PIN["saved"] = get_threads()
+            set_threads(1)
+        _BLAS_PIN["depth"] += 1
     try:
         yield
     finally:
-        set_threads(previous)
+        with _BLAS_LOCK:
+            _BLAS_PIN["depth"] -= 1
+            if _BLAS_PIN["depth"] == 0:
+                set_threads(_BLAS_PIN["saved"])
 
 
 def series_prefix(series, length):

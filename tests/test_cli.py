@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -197,31 +198,89 @@ def test_forecast_dump_samples(tmp_path):
     assert len(rows) == 111
 
 
-def test_forecast_rerun_from_config_is_byte_identical(tmp_path):
+_SMALL_RUNS = {
+    "ingest": ["ingest", "--synthetic", "8"],
+    "gini": ["gini", "--synthetic", "10"],
+    "diagnose": ["diagnose", "--synthetic", "20", "--kpss-permutations", "9"],
+    "fit": ["fit", "--synthetic", "20", "--components", "2"],
+    "forecast": ["forecast", "--synthetic", "25", "--components", "one",
+                 "--horizon-max", "2", "--replications", "40", "--seed", "9",
+                 "--dump-samples"],
+    "backtest": ["backtest", "--synthetic", "26", "--components", "one",
+                 "--initial-window", "20", "--max-horizon", "2",
+                 "--replications", "20", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SMALL_RUNS))
+def test_rerun_from_config_is_byte_identical(tmp_path, subcommand):
     first = tmp_path / "first"
-    main(
-        [
-            "forecast",
-            "--synthetic",
-            "25",
-            "--components",
-            "one",
-            "--horizon-max",
-            "2",
-            "--replications",
-            "40",
-            "--seed",
-            "9",
-            "--out",
-            str(first),
-        ]
-    )
+    assert main(_SMALL_RUNS[subcommand] + ["--out", str(first)]) == 0
     second = tmp_path / "second"
     code = main(
-        ["forecast", "--config", str(first / "config.json"), "--out", str(second)]
+        [subcommand, "--config", str(first / "config.json"), "--out", str(second)]
     )
     assert code == 0
-    _same_files(first, second, ["forecast_h01.csv", "forecast_h02.csv"])
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second))
+    assert len(names) > 1
+    _same_files(first, second, names)
+
+
+def _is_integer(cell):
+    return re.fullmatch(r"-?[0-9]+", cell) is not None
+
+
+def _is_ten_digit_float(cell):
+    return cell == f"{float(cell):.10g}"
+
+
+def test_every_cell_follows_the_one_cell_rule(tmp_path):
+    # Counts and labels are plain integers, every other number is written
+    # to ten significant digits, and the grid keeps its six decimals.
+    for subcommand, args in _SMALL_RUNS.items():
+        assert main(args + ["--out", str(tmp_path / subcommand)]) == 0
+
+    header, rows = _read_csv(tmp_path / "ingest" / "grid.csv")
+    assert all(_is_integer(r[0]) for r in rows)
+    assert all(re.fullmatch(r"[0-9]+\.[0-9]{6}", c) for r in rows for c in r[1:])
+    assert header[1:3] == ["age_0", "age_1"]
+
+    integer_columns = {
+        "gini/gini.csv": 1,
+        "fit/mean_curve.csv": 1,
+        "fit/primary_basis.csv": 1,
+        "fit/primary_scores.csv": 1,
+        "fit/final_residuals.csv": 1,
+        "forecast/forecast_h02.csv": 1,
+        "forecast/samples_h01.csv": 1,
+        "backtest/horizons_dfm-one_80.csv": 2,
+    }
+    for name, leading in integer_columns.items():
+        _, rows = _read_csv(tmp_path / name)
+        assert rows, name
+        for row in rows:
+            assert all(_is_integer(c) for c in row[:leading]), (name, row)
+            assert all(_is_ten_digit_float(c) for c in row[leading:]), (name, row)
+
+    _, summary = _read_csv(tmp_path / "fit" / "fit_summary.csv")
+    for name, index, value in summary:
+        if name in ("primary", "residual"):
+            assert _is_integer(index) and _is_ten_digit_float(value)
+    assert summary[-2][0] == "independence_p_value"
+    assert _is_ten_digit_float(summary[-2][2])
+    assert summary[-1][0] == "residual_stage_ran"
+    assert summary[-1][2] in ("true", "false")
+
+    _, summary = _read_csv(tmp_path / "backtest" / "summary.csv")
+    for label, model, components, *numbers in summary:
+        assert (label, model, components) == ("dfm-one", "dfm", "one")
+        assert all(_is_ten_digit_float(c) for c in numbers)
+
+    _, rows = _read_csv(tmp_path / "diagnose" / "diagnostics.csv")
+    assert all(_is_ten_digit_float(c) for r in rows for c in r[1:3])
+    assert cli._cell(12345678901) == "12345678901"
+    assert cli._cell(1 / 3) == "0.3333333333"
 
 
 def test_backtest_outputs_and_jobs_invariance(tmp_path):
@@ -319,6 +378,46 @@ def test_config_json_is_stable_and_jobs_free(tmp_path):
     assert data["subcommand"] == "backtest"
     assert data["synthetic"] == 26
     assert data["levels"] == [0.8, 0.95]
+
+
+_GINI_CONFIG = {"subcommand": "gini", "synthetic": 10}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '["gini"]',
+        json.dumps({**_GINI_CONFIG, "levels": "ab"}),
+        json.dumps({**_GINI_CONFIG, "levels": 5}),
+        json.dumps({**_GINI_CONFIG, "levels": ["ab"]}),
+        json.dumps({**_GINI_CONFIG, "levels": [0.8, 0.8]}),
+        json.dumps({**_GINI_CONFIG, "sex": 5}),
+        json.dumps({**_GINI_CONFIG, "input": 5}),
+        json.dumps({**_GINI_CONFIG, "seed": None}),
+        json.dumps({**_GINI_CONFIG, "seed": True}),
+        json.dumps({**_GINI_CONFIG, "force_residual_stage": 1}),
+    ],
+    ids=[
+        "not-json", "list", "levels-text", "levels-number", "levels-text-item",
+        "levels-repeated", "sex-number", "input-number", "seed-null", "seed-bool",
+        "flag-number",
+    ],
+)
+def test_malformed_config_fails_with_one_error_line(tmp_path, capsys, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({**_GINI_CONFIG, "bandwidth": 3}), encoding="utf-8")
+    assert main(["gini", "--config", str(good), "--out", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gini", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ConfigurationError:"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_subcommand_mismatch_fails_cleanly(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Coverage metrics and the expanding-window backtest harness."""
 
+import sys
 import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,6 +430,55 @@ def test_backtest_windows_run_on_one_blas_thread_and_restore_the_count(n_jobs):
         del MODEL_FORECASTERS["scripted"]
         set_threads(original)
     assert len(seen) >= 6 + 3
+    assert set(seen) == {1}
+
+
+@pytest.mark.skipif(
+    _openblas_threads() is None,
+    reason="numpy's bundled OpenBLAS exports no known thread-count symbol",
+)
+def test_overlapping_backtests_share_the_blas_pin():
+    # Each backtest starts while the one before it runs.  The first to
+    # finish must not unpin the others' windows, and the count must not
+    # be left at the pin once all are done.
+    set_threads, get_threads = _openblas_threads()
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
+    seen = []
+
+    def sleeping(series, config, horizons, levels, rng_seed):
+        seen.append(get_threads())
+        time.sleep(0.03)
+        band = {l: np.zeros(series.grid.size) for l in levels}
+        return [_ScriptedForecast(lower=band, upper=band)] * horizons
+
+    def backtest(initial_window, delay):
+        time.sleep(delay)
+        plan = BacktestPlan(
+            initial_window=initial_window,
+            max_horizon=1,
+            levels=(0.8,),
+            configs=(MethodConfig(model="scripted", components="one"),),
+        )
+        return run_backtest(grid, plan, n_jobs=1)
+
+    original = get_threads()
+    interval = sys.getswitchinterval()
+    MODEL_FORECASTERS["scripted"] = sleeping
+    try:
+        set_threads(3)
+        sys.setswitchinterval(1e-5)
+        # More backtests than cores, under a short switch interval.
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            runs = [pool.submit(backtest, 27, 0.0), pool.submit(backtest, 24, 0.02),
+                    pool.submit(backtest, 26, 0.04)]
+            for run in runs:
+                run.result(timeout=30)
+        assert get_threads() == 3
+    finally:
+        sys.setswitchinterval(interval)
+        del MODEL_FORECASTERS["scripted"]
+        set_threads(original)
+    assert len(seen) == 3 + 6 + 4
     assert set(seen) == {1}
 
 
