@@ -21,6 +21,10 @@ order), one per residual component, then the residual-curve row indices.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -536,3 +540,55 @@ def bootstrap_forecast_path(
         )
         for h in range(1, pools.max_horizon + 1)
     ]
+
+
+# Work that runs side by side (backtest windows, the two stages of the
+# Lee-Carter replicate loop) runs on one OpenBLAS thread, so that no idle
+# BLAS thread competes with it for the cores; the CLI's ``forecast`` pins
+# its whole run too.  Results then do not depend on ``OPENBLAS_NUM_THREADS``.
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)`` thread counts of numpy's bundled OpenBLAS, else None."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(root + ".libs/*openblas*")
+    paths += glob.glob(root + "/.dylibs/*openblas*")
+    # Loading a library numpy has already loaded returns that library.
+    for lib in map(ctypes.CDLL, paths):
+        # numpy >= 2 wheels, numpy 1.2x wheels, then a plain OpenBLAS.
+        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            pair = tuple(getattr(lib, name.format(f"{verb}_num_threads"), None)
+                         for verb in ("set", "get"))
+            if None not in pair:
+                return pair
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_BLAS_PIN = {"depth": 0, "saved": None}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the bundled OpenBLAS, process-wide, to one thread, then restore.
+
+    Overlapping pins share one: the first entry saves the thread count and
+    the last exit restores it.
+    """
+    set_threads, get_threads = _openblas_threads() or (lambda n: None, lambda: 1)
+    with _BLAS_LOCK:
+        if _BLAS_PIN["depth"] == 0:
+            _BLAS_PIN["saved"] = get_threads()
+            set_threads(1)
+        _BLAS_PIN["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _BLAS_PIN["depth"] -= 1
+            if _BLAS_PIN["depth"] == 0:
+                set_threads(_BLAS_PIN["saved"])

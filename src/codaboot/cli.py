@@ -29,7 +29,7 @@ import typing
 import numpy as np
 
 from .coda import clr
-from .bootstrap import SCORE_METHODS, _check_levels
+from .bootstrap import SCORE_METHODS, _check_levels, _one_blas_thread
 from .errors import CodabootError, ConfigurationError
 from .evaluation import (
     BacktestPlan,
@@ -136,22 +136,41 @@ def _method_config(config):
     )
 
 
-# The option that sets each model setting.  The factor model reads its
-# score method only when it forecasts, and Lee-Carter runs only there:
-# fit and diagnose reject it before they do any work.
-_MODEL_OPTIONS = {
-    "method": "--method",
-    "bandwidth": "--bandwidth",
-    "force_residual_stage": "--no-force-residual-stage",
-    "lags": "--lags",
-    "dim": "--dim",
-    "lc_resample": "--lc-resample",
-}
+def _option(subcommand, name):
+    """The command-line option that sets a :class:`RunConfig` field."""
+    if name == "force_residual_stage":
+        return "--no-force-residual-stage"
+    if name == "max_horizon" and subcommand == "forecast":
+        return "--horizon-max"
+    return "--" + name.replace("_", "-")
+
+
+def _reject_unread(config, names, run):
+    """Fail when any of ``names`` is set away from its default."""
+    defaults = RunConfig(subcommand=config.subcommand)
+    unread = [
+        _option(config.subcommand, name)
+        for name in names
+        if getattr(config, name) != getattr(defaults, name)
+    ]
+    if unread:
+        raise ConfigurationError(f"{run} does not read {', '.join(unread)}")
+
+
+# The model settings.  The factor model reads its score method only when
+# it forecasts, and Lee-Carter runs only there: fit and diagnose reject it
+# before they do any work.
+_MODEL_OPTIONS = ("method", "bandwidth", "force_residual_stage", "lags", "dim", "lc_resample")
 _FORECASTING = ("forecast", "backtest")
 
 
-def _check_model_options(config):
-    """Reject model settings that the run would silently ignore."""
+def _check_options(config):
+    """Reject settings that the run would silently ignore."""
+    # The generator takes no sex filter, and a life table no seed.
+    if config.synthetic is not None:
+        _reject_unread(config, ("sex",), f"{config.subcommand} with --synthetic")
+    else:
+        _reject_unread(config, ("synthetic_seed",), f"{config.subcommand} with --input")
     if config.subcommand not in _FORECASTING + ("diagnose", "fit"):
         return
     forecasting = config.subcommand in _FORECASTING
@@ -166,17 +185,8 @@ def _check_model_options(config):
         used = {"bandwidth", "force_residual_stage", "lags", "dim"}
         if forecasting:
             used.add("method")
-    defaults = RunConfig(subcommand=config.subcommand)
-    ignored = [
-        option
-        for name, option in _MODEL_OPTIONS.items()
-        if name not in used and getattr(config, name) != getattr(defaults, name)
-    ]
-    if ignored:
-        raise ConfigurationError(
-            f"{config.subcommand} with model {config.model!r} does not read"
-            f" {', '.join(ignored)}"
-        )
+    unused = [name for name in _MODEL_OPTIONS if name not in used]
+    _reject_unread(config, unused, f"{config.subcommand} with model {config.model!r}")
 
 
 def _parse_levels(text):
@@ -292,9 +302,12 @@ def _cmd_forecast(config, grid):
     forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}.get(config.model)
     if forecaster is None:
         raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
-    forecasts = forecaster(
-        clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
-    )
+    # The fit, its pools and the replicates all run on one BLAS thread,
+    # so the bytes do not depend on OPENBLAS_NUM_THREADS.
+    with _one_blas_thread():
+        forecasts = forecaster(
+            clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
+        )
     ages = grid.ages.tolist()
     header = ["age", "point"]
     for level in config.levels:
@@ -448,6 +461,17 @@ def _config_from_args(args, parser):
         if getattr(args, field.name, None) is not None
     }
     if args.config:
+        # Placement always comes from the command line, never the config,
+        # and every other setting from the config alone.
+        unread = [
+            _option(args.subcommand, name)
+            for name in given
+            if name not in ("subcommand", "out", "jobs")
+        ]
+        if unread:
+            raise ConfigurationError(
+                f"--config takes no options but --out and --jobs, got {', '.join(unread)}"
+            )
         with open(args.config, "r", encoding="utf-8") as handle:
             config = RunConfig.from_json(handle.read())
         if config.subcommand != args.subcommand:
@@ -455,7 +479,6 @@ def _config_from_args(args, parser):
                 f"config file is for {config.subcommand!r},"
                 f" but {args.subcommand!r} was invoked"
             )
-        # Placement always comes from the command line, never the config.
         placement = {name: given.get(name, getattr(RunConfig, name)) for name in ("out", "jobs")}
         return dataclasses.replace(config, **placement)
 
@@ -473,7 +496,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args, parser)
-        _check_model_options(config)
+        _check_options(config)
         tables, message = _COMMANDS[config.subcommand](config, _load_grid(config))
         os.makedirs(config.out, exist_ok=True)
         with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as handle:

@@ -15,10 +15,6 @@ across horizons for the summary.
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +22,12 @@ import numpy as np
 
 from .coda import ClrSeries, clr, trapezoid_weights
 from .dfm import component_counts, fit_dfm
-from .bootstrap import _check_levels, bootstrap_forecast_path
+from .bootstrap import (
+    _check_levels,
+    _one_blas_thread,
+    _openblas_threads,
+    bootstrap_forecast_path,
+)
 from .errors import ConfigurationError, DomainError, ShapeError, check_integer
 from .leecarter import fit_lc, lc_bootstrap_path
 from .lifetable import LifeTableGrid
@@ -316,52 +317,6 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
                 )
             )
     return BacktestReport(plan=plan, n_years=n, rows=tuple(rows))
-
-
-@functools.cache
-def _openblas_threads():
-    """``(set, get)`` thread counts of numpy's bundled OpenBLAS, else None."""
-    import ctypes
-    import glob
-
-    root = os.path.dirname(np.__file__)
-    paths = glob.glob(root + ".libs/*openblas*")
-    paths += glob.glob(root + "/.dylibs/*openblas*")
-    # Loading a library numpy has already loaded returns that library.
-    for lib in map(ctypes.CDLL, paths):
-        # numpy >= 2 wheels, numpy 1.2x wheels, then a plain OpenBLAS.
-        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
-            pair = tuple(getattr(lib, name.format(f"{verb}_num_threads"), None)
-                         for verb in ("set", "get"))
-            if None not in pair:
-                return pair
-    return None
-
-
-_BLAS_LOCK = threading.Lock()
-_BLAS_PIN = {"depth": 0, "saved": None}
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin the bundled OpenBLAS, process-wide, to one thread, then restore.
-
-    Overlapping pins share one: the first entry saves the thread count and
-    the last exit restores it.
-    """
-    set_threads, get_threads = _openblas_threads() or (lambda n: None, lambda: 1)
-    with _BLAS_LOCK:
-        if _BLAS_PIN["depth"] == 0:
-            _BLAS_PIN["saved"] = get_threads()
-            set_threads(1)
-        _BLAS_PIN["depth"] += 1
-    try:
-        yield
-    finally:
-        with _BLAS_LOCK:
-            _BLAS_PIN["depth"] -= 1
-            if _BLAS_PIN["depth"] == 0:
-                set_threads(_BLAS_PIN["saved"])
 
 
 def series_prefix(series, length):

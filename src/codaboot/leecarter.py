@@ -15,10 +15,19 @@ of their Gram matrices, one batched ``eigh`` per block, and a
 pseudo-sample whose leading eigenvalues crowd is refit by the SVD
 instead; every band stays within 1e-9 of the radix of refitting each
 pseudo-sample by its own SVD.
+
+The blocks go through two stages that overlap: while a helper thread
+draws the next block and refits it, the calling thread extrapolates the
+scores of the current one.  Batched ``eigh`` and the ETS kernel's ufuncs
+release the GIL, so the stages share the cores.  The whole replicate
+loop runs with numpy's bundled OpenBLAS pinned to one thread, so no idle
+BLAS thread competes with them, and the result is the same to the bit
+as a serial loop over the blocks, whatever ``OPENBLAS_NUM_THREADS`` is.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +38,7 @@ from .bootstrap import (
     _banded_forecast,
     _check_levels,
     _fit_ets_prefixes,
+    _one_blas_thread,
 )
 
 RESAMPLE_MODES = ("entries", "rows")
@@ -200,6 +210,43 @@ def _extrapolate_scores(scores, horizons):
     return level[:, -1].reshape(last) + trend[:, -1].reshape(last) * steps
 
 
+def _replicate_curves(fit, h_max, b, rng, resample):
+    """Forecast clr curves ``(h_max, b, D)`` of ``b`` replicates: a helper
+    thread draws block ``i + 1`` from ``rng`` and refits it while the
+    calling thread extrapolates block ``i``."""
+    n, d = fit.residuals.shape
+    k = fit.n_components
+    fitted = fit.mean_curve + fit.scores @ fit.components
+    pooled = fit.residuals.ravel()
+    block = max(1, _BLOCK_SERIES // k)
+    starts = range(0, b, block)
+    # Block i is drawn into stack i % 2: drawing block i + 1 cannot
+    # overwrite anything that the refit of block i returned.
+    stacks = np.empty((2, min(block, b), n, d))
+
+    def refit(i):
+        pseudo = stacks[i % 2][: min(block, b - starts[i])]
+        for row in pseudo:
+            if resample == "entries":
+                draws = pooled[rng.integers(0, pooled.size, (n, d))]
+            else:
+                draws = fit.residuals[rng.integers(0, n, n)]
+            np.add(fitted, draws, out=row)
+        return _decompose_stack(pseudo, k)
+
+    clr_samples = np.empty((h_max, b, d))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        refitting = helper.submit(refit, 0)
+        for i, start in enumerate(starts):
+            means, components, scores, _ = refitting.result()
+            if i + 1 < len(starts):
+                refitting = helper.submit(refit, i + 1)
+            futures = _extrapolate_scores(scores, h_max)
+            curves = means[:, None, :] + futures @ components
+            clr_samples[:, start : start + len(curves)] = curves.swapaxes(0, 1)
+    return clr_samples
+
+
 def lc_bootstrap_path(
     fit,
     max_horizon,
@@ -229,6 +276,14 @@ def lc_bootstrap_path(
     each pseudo-sample by its own SVD.  The point forecast comes from the
     SVD fit alone and does not change.
 
+    The work runs in two overlapping stages: one helper thread draws and
+    refits the next block while the calling thread extrapolates the
+    current one.  At most two blocks are in flight, and only the helper
+    uses the generator, so the result is the same to the bit as a serial
+    loop over the blocks.  The whole path runs with numpy's bundled
+    OpenBLAS pinned to one thread, when found, and restores the count
+    afterwards, so it does not depend on ``OPENBLAS_NUM_THREADS``.
+
     Returns
     -------
     list of BootstrapForecast
@@ -240,41 +295,20 @@ def lc_bootstrap_path(
             f"resample must be one of {RESAMPLE_MODES}, got {resample!r}"
         )
     levels = _check_levels(levels)
-
-    n, d = fit.residuals.shape
-    k = fit.n_components
-    fitted = fit.mean_curve + fit.scores @ fit.components
-    pooled = fit.residuals.ravel()
     rng = np.random.default_rng(rng_seed)
 
-    clr_samples = np.empty((h_max, b, d))
-    block = max(1, _BLOCK_SERIES // k)
-    stack = np.empty((min(block, b), n, d))
-    for start in range(0, b, block):
-        stop = min(start + block, b)
-        pseudo = stack[: stop - start]
-        for row in pseudo:
-            if resample == "entries":
-                draws = pooled[rng.integers(0, pooled.size, (n, d))]
-            else:
-                draws = fit.residuals[rng.integers(0, n, n)]
-            np.add(fitted, draws, out=row)
-        means, components, scores, _ = _decompose_stack(pseudo, k)
-        futures = _extrapolate_scores(scores, h_max)
-        curves = means[:, None, :] + futures @ components
-        clr_samples[:, start:stop] = curves.swapaxes(0, 1)
-
-    point_scores = _extrapolate_scores(fit.scores, h_max)
-    clr_points = fit.mean_curve + point_scores @ fit.components
-
-    return [
-        _banded_forecast(
-            fit,
-            h,
-            inverse_clr(clr_points[h - 1], fit.grid, fit.radix),
-            inverse_clr(clr_samples[h - 1], fit.grid, fit.radix),
-            levels,
-            rng_seed,
-        )
-        for h in range(1, h_max + 1)
-    ]
+    with _one_blas_thread():
+        clr_samples = _replicate_curves(fit, h_max, b, rng, resample)
+        point_scores = _extrapolate_scores(fit.scores, h_max)
+        clr_points = fit.mean_curve + point_scores @ fit.components
+        return [
+            _banded_forecast(
+                fit,
+                h,
+                inverse_clr(clr_points[h - 1], fit.grid, fit.radix),
+                inverse_clr(clr_samples[h - 1], fit.grid, fit.radix),
+                levels,
+                rng_seed,
+            )
+            for h in range(1, h_max + 1)
+        ]

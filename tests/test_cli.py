@@ -25,6 +25,13 @@ def _same_files(dir_a, dir_b, names):
         ), f"{name} differs"
 
 
+def _one_year_table(tmp_path):
+    table = tmp_path / "lt.txt"
+    lines = ["Year Age qx"] + [f"2000 {age} 0.03" for age in range(110)]
+    table.write_text("\n".join(lines + ["2000 110+ 1.0"]) + "\n", encoding="utf-8")
+    return str(table)
+
+
 def test_ingest_writes_the_grid(tmp_path):
     out = tmp_path / "out"
     assert main(["ingest", "--synthetic", "12", "--out", str(out)]) == 0
@@ -48,14 +55,8 @@ def test_ingest_is_deterministic(tmp_path):
 
 
 def test_ingest_parses_a_real_file(tmp_path):
-    table = tmp_path / "lt.txt"
-    lines = ["Year Age qx"]
-    for age in range(110):
-        lines.append(f"2000 {age} 0.03")
-    lines.append("2000 110+ 1.0")
-    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["ingest", "--input", str(table), "--out", str(out)]) == 0
+    assert main(["ingest", "--input", _one_year_table(tmp_path), "--out", str(out)]) == 0
     header, rows = _read_csv(out / "grid.csv")
     assert len(rows) == 1
     total = sum(float(v) for v in rows[0][1:])
@@ -428,6 +429,73 @@ def test_config_subcommand_mismatch_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error kind=ConfigurationError:")
 
+
+@pytest.mark.parametrize(
+    "subcommand, options, named",
+    [
+        ("gini", ["--seed", "5"], "--seed"),
+        ("gini", ["--seed", "5", "--synthetic", "40"], "--synthetic, --seed"),
+        ("forecast", ["--horizon-max", "3"], "--horizon-max"),
+        ("backtest", ["--max-horizon", "1", "--jobs", "2"], "--max-horizon"),
+        ("fit", ["--no-force-residual-stage"], "--no-force-residual-stage"),
+    ],
+)
+def test_config_takes_no_options_but_out_and_jobs(tmp_path, capsys, subcommand,
+                                                  options, named):
+    # A rerun takes every setting but its placement from the config, so
+    # any other option given with it fails, named in the error.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subcommand": subcommand, "synthetic": 20}),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    args = [subcommand, "--config", str(config), *options, "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ConfigurationError:"), err
+    assert err.count("\n") == 1
+    assert err.rstrip("\n").endswith(f"got {named}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["gini", "--synthetic", "10", "--sex", "female"], "--sex"),
+        (["ingest", "--input", "TABLE", "--synthetic-seed", "4"], "--synthetic-seed"),
+        ({"subcommand": "gini", "synthetic": 10, "sex": "male"}, "--sex"),
+        ({"subcommand": "ingest", "input": "TABLE", "synthetic_seed": 4},
+         "--synthetic-seed"),
+        (["ingest", "--input", "TABLE", "--synthetic-seed", "0"], None),
+        (["gini", "--synthetic", "10", "--synthetic-seed", "3"], None),
+        (["ingest", "--input", "TABLE", "--sex", "female"], None),
+        ({"subcommand": "ingest", "input": "TABLE", "synthetic_seed": 0}, None),
+    ],
+    ids=[
+        "sex-synthetic", "seed-input", "sex-synthetic-config", "seed-input-config",
+        "default-seed-input", "seed-synthetic", "sex-input", "default-seed-config",
+    ],
+)
+def test_data_source_options_the_source_ignores_fail_loudly(tmp_path, capsys, args,
+                                                            named):
+    # The generator reads no sex filter and a life table no seed; a value
+    # left at its default never trips the check.
+    table = _one_year_table(tmp_path)
+    out = tmp_path / "out"
+    if isinstance(args, dict):
+        data = {k: table if v == "TABLE" else v for k, v in args.items()}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        args = [data["subcommand"], "--config", str(config)]
+    args = [table if a == "TABLE" else a for a in args]
+    code = main(args + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if named is None:
+        assert code == 0, err
+        return
+    assert code == 1
+    assert err.startswith("error kind=ConfigurationError:"), err
+    assert err.rstrip("\n").endswith(f"does not read {named}"), err
+    assert not out.exists()
 
 def test_data_errors_exit_one_with_parseable_stderr(tmp_path, capsys):
     missing = tmp_path / "nope.txt"

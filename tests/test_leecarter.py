@@ -1,5 +1,9 @@
 """Principal-component baseline and its residual-resampling bootstrap."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from codaboot import (
     trapezoid_weights,
 )
 from codaboot import leecarter
-from codaboot.bootstrap import _PREFIX_TABLES
+from codaboot.bootstrap import _PREFIX_TABLES, _one_blas_thread, _openblas_threads
 from codaboot.coda import inverse_clr
 
 
@@ -295,3 +299,138 @@ def test_bootstrap_rejects_non_integral_counts():
         lc_bootstrap_path(fit, 2, n_samples=np.float64(10.0))
     path = lc_bootstrap_path(fit, np.int32(2), n_samples=np.int64(10))
     assert [fc.samples.shape[0] for fc in path] == [10, 10]
+
+
+def _pipeline_fit(seed=17, n=16, d=6, k=2):
+    rng = np.random.default_rng(seed)
+    series = _centred_series(
+        np.cumsum(rng.normal(size=(n, d)), axis=0) + 0.2 * rng.normal(size=(n, d)),
+        np.arange(float(d)),
+    )
+    return fit_lc(series, n_components=k)
+
+
+@pytest.mark.parametrize("resample", ["entries", "rows"])
+def test_pipelined_path_equals_a_serial_loop_over_the_blocks(resample):
+    # Blocks of 24 replicates at k = 2, so 50 replicates end on a block of
+    # 2.  The reference draws, refits and extrapolates one block after the
+    # other on the calling thread, under the same one-thread BLAS pin.
+    fit = _pipeline_fit()
+    h_max, b, k = 3, 50, fit.n_components
+    block = leecarter._BLOCK_SERIES // k
+    assert b % block != 0
+    path = lc_bootstrap_path(fit, max_horizon=h_max, n_samples=b, rng_seed=8,
+                             resample=resample)
+
+    n, d = fit.residuals.shape
+    fitted = fit.mean_curve + fit.scores @ fit.components
+    pooled = fit.residuals.ravel()
+    rng = np.random.default_rng(8)
+    curves = []
+    with _one_blas_thread():
+        for start in range(0, b, block):
+            pseudo = np.empty((min(block, b - start), n, d))
+            for row in pseudo:
+                if resample == "entries":
+                    draws = pooled[rng.integers(0, pooled.size, (n, d))]
+                else:
+                    draws = fit.residuals[rng.integers(0, n, n)]
+                np.add(fitted, draws, out=row)
+            means, components, scores, _ = leecarter._decompose_stack(pseudo, k)
+            futures = leecarter._extrapolate_scores(scores, h_max)
+            curves.append(means[:, None, :] + futures @ components)
+        curves = np.concatenate(curves)
+        for h in range(1, h_max + 1):
+            expected = inverse_clr(curves[:, h - 1], fit.grid, fit.radix)
+            np.testing.assert_array_equal(path[h - 1].samples, expected)
+
+
+@pytest.mark.skipif(
+    _openblas_threads() is None,
+    reason="numpy's bundled OpenBLAS exports no known thread-count symbol",
+)
+def test_both_pipeline_stages_run_on_one_blas_thread(monkeypatch):
+    set_threads, get_threads = _openblas_threads()
+    seen = {"refit": [], "extrapolate": []}
+
+    def recording(stage, function):
+        def wrapped(*args):
+            seen[stage].append((threading.get_ident(), get_threads()))
+            return function(*args)
+        return wrapped
+
+    monkeypatch.setattr(leecarter, "_decompose_stack",
+                        recording("refit", leecarter._decompose_stack))
+    monkeypatch.setattr(leecarter, "_extrapolate_scores",
+                        recording("extrapolate", leecarter._extrapolate_scores))
+    original = get_threads()
+    try:
+        # A count other than the default and other than the pin.
+        set_threads(3)
+        lc_bootstrap_path(_pipeline_fit(), max_horizon=2, n_samples=100, rng_seed=1)
+        assert get_threads() == 3
+    finally:
+        set_threads(original)
+    caller = threading.get_ident()
+    # Five blocks of 24, then the point forecast on the calling thread.
+    assert len(seen["refit"]) == 5 and len(seen["extrapolate"]) == 6
+    assert {count for _, count in seen["refit"] + seen["extrapolate"]} == {1}
+    assert {ident for ident, _ in seen["extrapolate"]} == {caller}
+    assert caller not in {ident for ident, _ in seen["refit"]}
+
+
+def test_a_failing_refit_stops_the_pipeline_and_cleans_up(monkeypatch):
+    blas = _openblas_threads()
+    refit = leecarter._decompose_stack
+    failure = RuntimeError("third block failed")
+    calls = []
+
+    def failing(stack, n_components):
+        calls.append(len(stack))
+        if len(calls) == 3:
+            raise failure
+        return refit(stack, n_components)
+
+    monkeypatch.setattr(leecarter, "_decompose_stack", failing)
+    threads = threading.active_count()
+    original = blas[1]() if blas else None
+    try:
+        if blas:
+            blas[0](3)
+        with pytest.raises(RuntimeError) as info:
+            lc_bootstrap_path(_pipeline_fit(), max_horizon=2, n_samples=200, rng_seed=1)
+        if blas:
+            assert blas[1]() == 3
+    finally:
+        if blas:
+            blas[0](original)
+    assert info.value is failure
+    # No block is refit after the one that failed.
+    assert calls == [24, 24, 24]
+    assert threading.active_count() == threads
+
+
+def test_overlapping_paths_match_their_runs_alone():
+    # Three paths at once, more than the cores, each with its own helper
+    # thread, under a short switch interval: every path keeps its own
+    # generator and stacks, so each equals its run alone.
+    fit = _pipeline_fit()
+    alone = {
+        seed: lc_bootstrap_path(fit, max_horizon=2, n_samples=120, rng_seed=seed)
+        for seed in (1, 2, 3)
+    }
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            runs = {
+                seed: pool.submit(lc_bootstrap_path, fit, max_horizon=2, n_samples=120,
+                                  rng_seed=seed)
+                for seed in alone
+            }
+            together = {seed: run.result(timeout=60) for seed, run in runs.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, path in together.items():
+        for fc, ref in zip(path, alone[seed]):
+            np.testing.assert_array_equal(fc.samples, ref.samples)
