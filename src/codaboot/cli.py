@@ -10,8 +10,9 @@ outputs; passing that file back through ``--config`` reproduces the run
 byte for byte.
 
 Each subcommand computes its tables from the loaded grid and returns them
-with a one-line message; :func:`main` alone writes files, every CSV cell
-through :func:`_cell`.
+with a one-line message.  :func:`main` alone holds the run policy: it
+checks the settings against what the run reads, pins BLAS to one thread
+and writes files, every CSV cell through :func:`_cell`.
 
 Exit codes: 0 on success, 1 on a data or configuration error (reported as
 one ``error kind=...`` line on stderr), 2 on a usage error.
@@ -145,48 +146,50 @@ def _option(subcommand, name):
     return "--" + name.replace("_", "-")
 
 
-def _reject_unread(config, names, run):
-    """Fail when any of ``names`` is set away from its default."""
-    defaults = RunConfig(subcommand=config.subcommand)
-    unread = [
-        _option(config.subcommand, name)
-        for name in names
-        if getattr(config, name) != getattr(defaults, name)
-    ]
-    if unread:
-        raise ConfigurationError(f"{run} does not read {', '.join(unread)}")
-
-
-# The model settings.  The factor model reads its score method only when
-# it forecasts, and Lee-Carter runs only there: fit and diagnose reject it
-# before they do any work.
-_MODEL_OPTIONS = ("method", "bandwidth", "force_residual_stage", "lags", "dim", "lc_resample")
-_FORECASTING = ("forecast", "backtest")
+# The RunConfig fields each subcommand reads besides ``subcommand``, ``out``
+# and its source; forecast and backtest also read those of their model.
+_FORECAST_READS = ("seed", "model", "components", "max_horizon", "replications", "levels")
+_READS = {
+    "ingest": (),
+    "gini": (),
+    "diagnose": ("seed", "components", "bandwidth", "lags", "dim", "kpss_permutations"),
+    "fit": ("components", "bandwidth", "force_residual_stage", "lags", "dim"),
+    "forecast": _FORECAST_READS + ("dump_samples",),
+    "backtest": _FORECAST_READS + ("initial_window", "jobs"),
+}
+_MODEL_READS = {
+    "dfm": ("method", "bandwidth", "force_residual_stage", "lags", "dim"),
+    "lc": ("lc_resample",),
+}
 
 
 def _check_options(config):
-    """Reject settings that the run would silently ignore."""
-    # The generator takes no sex filter, and a life table no seed.
-    if config.synthetic is not None:
-        _reject_unread(config, ("sex",), f"{config.subcommand} with --synthetic")
-    else:
-        _reject_unread(config, ("synthetic_seed",), f"{config.subcommand} with --input")
-    if config.subcommand not in _FORECASTING + ("diagnose", "fit"):
-        return
-    forecasting = config.subcommand in _FORECASTING
-    if config.model != "dfm" and not forecasting:
+    """Reject a run without exactly one source, and any setting it would
+    silently ignore: a field outside its reads set away from its default."""
+    sources = [name for name in ("input", "synthetic") if getattr(config, name) is not None]
+    if len(sources) != 1:
+        given = " and ".join("--" + name for name in sources) or "neither"
         raise ConfigurationError(
-            f"{config.subcommand} runs the factor model only, got model"
-            f" {config.model!r}"
+            f"{config.subcommand} needs exactly one of --input and --synthetic, got {given}"
         )
-    if config.model == "lc":
-        used = {"lc_resample"} if forecasting else set()
-    else:
-        used = {"bandwidth", "force_residual_stage", "lags", "dim"}
-        if forecasting:
-            used.add("method")
-    unused = [name for name in _MODEL_OPTIONS if name not in used]
-    _reject_unread(config, unused, f"{config.subcommand} with model {config.model!r}")
+    # A life table takes a sex filter, and the generator a seed.
+    extra = "sex" if config.synthetic is None else "synthetic_seed"
+    reads = {"subcommand", "out", *sources, extra, *_READS[config.subcommand]}
+    run = f"{config.subcommand} with --{sources[0]}"
+    if "model" in reads:
+        if config.model not in _MODEL_READS:
+            raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
+        reads.update(_MODEL_READS[config.model])
+        run += f" and model {config.model!r}"
+    defaults = RunConfig(subcommand=config.subcommand)
+    unread = [
+        _option(config.subcommand, field.name)
+        for field in dataclasses.fields(RunConfig)
+        if field.name not in reads
+        and getattr(config, field.name) != getattr(defaults, field.name)
+    ]
+    if unread:
+        raise ConfigurationError(f"{run} does not read {', '.join(unread)}")
 
 
 def _parse_levels(text):
@@ -299,15 +302,10 @@ def _cmd_fit(config, grid):
 
 
 def _cmd_forecast(config, grid):
-    forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}.get(config.model)
-    if forecaster is None:
-        raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
-    # The fit, its pools and the replicates all run on one BLAS thread,
-    # so the bytes do not depend on OPENBLAS_NUM_THREADS.
-    with _one_blas_thread():
-        forecasts = forecaster(
-            clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
-        )
+    forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}[config.model]
+    forecasts = forecaster(
+        clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
+    )
     ages = grid.ages.tolist()
     header = ["age", "point"]
     for level in config.levels:
@@ -378,8 +376,9 @@ def _build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="rerun from an emitted config.json")
-    common.add_argument("--input", help="life-table file (columnar or CSV of year,age,qx)")
-    common.add_argument(
+    source = common.add_mutually_exclusive_group()
+    source.add_argument("--input", help="life-table file (columnar or CSV of year,age,qx)")
+    source.add_argument(
         "--synthetic", type=int, metavar="N", help="use N years of synthetic data instead"
     )
     common.add_argument("--synthetic-seed", type=int)
@@ -484,8 +483,6 @@ def _config_from_args(args, parser):
 
     if args.input is None and args.synthetic is None:
         parser.error("one of --input or --synthetic is required")
-    if args.input is not None and args.synthetic is not None:
-        parser.error("--input and --synthetic are mutually exclusive")
     if "levels" in given:
         given["levels"] = _parse_levels(given["levels"])
     return RunConfig(**given)
@@ -497,7 +494,10 @@ def main(argv=None):
     try:
         config = _config_from_args(args, parser)
         _check_options(config)
-        tables, message = _COMMANDS[config.subcommand](config, _load_grid(config))
+        # Every command computes on one BLAS thread, so its bytes do not
+        # depend on OPENBLAS_NUM_THREADS.
+        with _one_blas_thread():
+            tables, message = _COMMANDS[config.subcommand](config, _load_grid(config))
         os.makedirs(config.out, exist_ok=True)
         with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as handle:
             handle.write(config.to_json())

@@ -25,7 +25,6 @@ from .dfm import component_counts, fit_dfm
 from .bootstrap import (
     _check_levels,
     _one_blas_thread,
-    _openblas_threads,
     bootstrap_forecast_path,
 )
 from .errors import ConfigurationError, DomainError, ShapeError, check_integer

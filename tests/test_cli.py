@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from codaboot import cli, gini_coefficient, make_synthetic_grid
+from codaboot.bootstrap import _openblas_threads
 from codaboot.cli import main
+from codaboot.errors import DomainError
 
 
 def _read_csv(path):
@@ -228,6 +230,39 @@ def test_rerun_from_config_is_byte_identical(tmp_path, subcommand):
     _same_files(first, second, names)
 
 
+@pytest.mark.skipif(
+    _openblas_threads() is None,
+    reason="numpy's bundled OpenBLAS exports no known thread-count symbol",
+)
+@pytest.mark.parametrize("subcommand", sorted(_SMALL_RUNS))
+def test_every_subcommand_runs_on_one_blas_thread(tmp_path, capsys, monkeypatch,
+                                                  subcommand):
+    set_threads, get_threads = _openblas_threads()
+    command = cli._COMMANDS[subcommand]
+    seen = []
+
+    def counting(config, grid):
+        seen.append(get_threads())
+        if len(seen) == 2:
+            raise DomainError("scripted failure")
+        return command(config, grid)
+
+    monkeypatch.setitem(cli._COMMANDS, subcommand, counting)
+    original = get_threads()
+    try:
+        # A count other than the default and other than the pin, so that a
+        # run which leaves the pin or resets to the default shows.
+        set_threads(3)
+        assert main(_SMALL_RUNS[subcommand] + ["--out", str(tmp_path / "ok")]) == 0
+        assert get_threads() == 3
+        assert main(_SMALL_RUNS[subcommand] + ["--out", str(tmp_path / "failed")]) == 1
+        assert "error kind=DomainError: scripted failure" in capsys.readouterr().err
+        assert get_threads() == 3
+    finally:
+        set_threads(original)
+    assert seen == [1, 1]
+
+
 def _is_integer(cell):
     return re.fullmatch(r"-?[0-9]+", cell) is not None
 
@@ -407,7 +442,7 @@ _GINI_CONFIG = {"subcommand": "gini", "synthetic": 10}
 )
 def test_malformed_config_fails_with_one_error_line(tmp_path, capsys, text):
     good = tmp_path / "good.json"
-    good.write_text(json.dumps({**_GINI_CONFIG, "bandwidth": 3}), encoding="utf-8")
+    good.write_text(json.dumps({**_GINI_CONFIG, "synthetic_seed": 3}), encoding="utf-8")
     assert main(["gini", "--config", str(good), "--out", str(tmp_path / "good")]) == 0
     capsys.readouterr()
 
@@ -458,13 +493,17 @@ def test_config_takes_no_options_but_out_and_jobs(tmp_path, capsys, subcommand,
 
 
 @pytest.mark.parametrize(
-    "args, named",
+    "args, error",
     [
-        (["gini", "--synthetic", "10", "--sex", "female"], "--sex"),
-        (["ingest", "--input", "TABLE", "--synthetic-seed", "4"], "--synthetic-seed"),
-        ({"subcommand": "gini", "synthetic": 10, "sex": "male"}, "--sex"),
+        (["gini", "--synthetic", "10", "--sex", "female"], "does not read --sex"),
+        (["ingest", "--input", "TABLE", "--synthetic-seed", "4"],
+         "does not read --synthetic-seed"),
+        ({"subcommand": "gini", "synthetic": 10, "sex": "male"}, "does not read --sex"),
         ({"subcommand": "ingest", "input": "TABLE", "synthetic_seed": 4},
-         "--synthetic-seed"),
+         "does not read --synthetic-seed"),
+        ({"subcommand": "gini", "synthetic": 10, "input": "TABLE"},
+         "got --input and --synthetic"),
+        ({"subcommand": "gini"}, "got neither"),
         (["ingest", "--input", "TABLE", "--synthetic-seed", "0"], None),
         (["gini", "--synthetic", "10", "--synthetic-seed", "3"], None),
         (["ingest", "--input", "TABLE", "--sex", "female"], None),
@@ -472,13 +511,15 @@ def test_config_takes_no_options_but_out_and_jobs(tmp_path, capsys, subcommand,
     ],
     ids=[
         "sex-synthetic", "seed-input", "sex-synthetic-config", "seed-input-config",
+        "both-sources-config", "no-source-config",
         "default-seed-input", "seed-synthetic", "sex-input", "default-seed-config",
     ],
 )
 def test_data_source_options_the_source_ignores_fail_loudly(tmp_path, capsys, args,
-                                                            named):
-    # The generator reads no sex filter and a life table no seed; a value
-    # left at its default never trips the check.
+                                                            error):
+    # A run reads exactly one source: the generator reads no sex filter and
+    # a life table no seed, and a value left at its default never trips the
+    # check.
     table = _one_year_table(tmp_path)
     out = tmp_path / "out"
     if isinstance(args, dict):
@@ -489,13 +530,15 @@ def test_data_source_options_the_source_ignores_fail_loudly(tmp_path, capsys, ar
     args = [table if a == "TABLE" else a for a in args]
     code = main(args + ["--out", str(out)])
     err = capsys.readouterr().err
-    if named is None:
+    if error is None:
         assert code == 0, err
         return
     assert code == 1
     assert err.startswith("error kind=ConfigurationError:"), err
-    assert err.rstrip("\n").endswith(f"does not read {named}"), err
+    assert err.count("\n") == 1
+    assert err.rstrip("\n").endswith(error), err
     assert not out.exists()
+
 
 def test_data_errors_exit_one_with_parseable_stderr(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
@@ -617,6 +660,10 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
             ["fit", "--lc-resample", "rows"],
             ["diagnose", "--kpss-permutations", "9", "--lc-resample", "rows"],
             ["fit", "--method", "ets_like"],
+            ["ingest", "--seed", "4"],
+            ["gini", "--seed", "4"],
+            ["fit", "--seed", "4"],
+            ["diagnose", "--kpss-permutations", "9", "--no-force-residual-stage"],
         )
     ):
         out = tmp_path / str(i)
@@ -641,6 +688,21 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
     assert main(["forecast", "--config", str(edited), "--out", str(rerun)]) == 1
     assert "--method" in capsys.readouterr().err
     assert not rerun.exists()
+
+    # Fields that a subcommand never reads, whatever its model.
+    for data, named in (
+        ({"subcommand": "gini", "replications": 10}, "--replications"),
+        ({"subcommand": "gini", "replications": 10, "kpss_permutations": 9, "model": "lc"},
+         "--model, --replications, --kpss-permutations"),
+        ({"subcommand": "forecast", "initial_window": 15}, "--initial-window"),
+        ({"subcommand": "backtest", "dump_samples": True}, "--dump-samples"),
+    ):
+        edited.write_text(json.dumps({**data, "synthetic": 20}), encoding="utf-8")
+        assert main([data["subcommand"], "--config", str(edited), "--out", str(rerun)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error kind=ConfigurationError:"), err
+        assert err.rstrip("\n").endswith(f"does not read {named}"), err
+        assert not rerun.exists()
 
 
 def test_configs_of_runs_that_read_their_model_options_still_load(tmp_path):

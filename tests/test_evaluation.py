@@ -24,9 +24,9 @@ from codaboot import (
     series_prefix,
     trapezoid_weights,
 )
-from codaboot.bootstrap import BootstrapForecast
+from codaboot.bootstrap import BootstrapForecast, _openblas_threads
 from codaboot.coda import clr
-from codaboot.evaluation import MODEL_FORECASTERS, _openblas_threads, fit_dfm_for
+from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for
 
 
 def test_ecp_trivial_cases():
