@@ -544,8 +544,9 @@ def bootstrap_forecast_path(
 
 # Work that runs side by side (backtest windows, the two stages of the
 # Lee-Carter replicate loop) runs on one OpenBLAS thread, so that no idle
-# BLAS thread competes with it for the cores; the CLI's ``forecast`` pins
-# its whole run too.  Results then do not depend on ``OPENBLAS_NUM_THREADS``.
+# BLAS thread competes with it for the cores; ``cli.main`` pins the whole
+# run of every subcommand too.  Results then do not depend on
+# ``OPENBLAS_NUM_THREADS``.
 
 
 @functools.cache

@@ -14,6 +14,12 @@ with a one-line message.  :func:`main` alone holds the run policy: it
 checks the settings against what the run reads, pins BLAS to one thread
 and writes files, every CSV cell through :func:`_cell`.
 
+One table records the settings each subcommand reads, and its parser
+offers exactly those options; any other option is a usage error.  A
+source or model option that the chosen source or model does not read, any
+unread field of a ``--config`` file, and a file naming ``out`` or ``jobs``
+(which only the command line sets) are configuration errors.
+
 Exit codes: 0 on success, 1 on a data or configuration error (reported as
 one ``error kind=...`` line on stderr), 2 on a usage error.
 """
@@ -46,6 +52,12 @@ from .lifetable import gini_coefficient, parse_lifetable, rebuild_deaths
 from .synthetic import make_synthetic_grid
 
 
+# The fields that place a run without changing its results.  Only the
+# command line sets them, and the emitted config leaves them out, so configs
+# of identical computations compare byte for byte.
+_PLACEMENT = ("out", "jobs")
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Fully resolved settings of one CLI run; the only home of their defaults."""
@@ -76,11 +88,8 @@ class RunConfig:
     def to_json(self):
         data = dataclasses.asdict(self)
         data["levels"] = list(self.levels)
-        # Worker count and output directory place the run without changing
-        # its results; keeping them out of the emitted config makes configs
-        # of identical computations compare byte for byte.
-        del data["jobs"]
-        del data["out"]
+        for name in _PLACEMENT:
+            del data[name]
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
     @classmethod
@@ -97,6 +106,11 @@ class RunConfig:
         unknown = set(data) - set(hints)
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
+        placed = [name for name in _PLACEMENT if name in data]
+        if placed:
+            raise ConfigurationError(
+                f"config file names {', '.join(placed)}, which only the command line sets"
+            )
         if "subcommand" not in data:
             raise ConfigurationError("config file must name its subcommand")
         for name, value in data.items():
@@ -148,6 +162,7 @@ def _option(subcommand, name):
 
 # The RunConfig fields each subcommand reads besides ``subcommand``, ``out``
 # and its source; forecast and backtest also read those of their model.
+# Each subcommand's parser offers exactly these options, spelled by _option.
 _FORECAST_READS = ("seed", "model", "components", "max_horizon", "replications", "levels")
 _READS = {
     "ingest": (),
@@ -160,6 +175,44 @@ _READS = {
 _MODEL_READS = {
     "dfm": ("method", "bandwidth", "force_residual_stage", "lags", "dim"),
     "lc": ("lc_resample",),
+}
+
+# The argparse keywords of each field's option.  An option left out sets
+# nothing, so RunConfig supplies every default.
+_OPTIONS = {
+    "input": {"help": "life-table file (columnar or CSV of year,age,qx)"},
+    "synthetic": {"type": int, "metavar": "N", "help": "use N years of synthetic data instead"},
+    "synthetic_seed": {"type": int},
+    "sex": {"choices": ("female", "male", "total"), "help": "filter when a Sex column exists"},
+    "out": {"help": "output directory (default: .)"},
+    "model": {"choices": tuple(_MODEL_READS)},
+    "components": {"help": "'one', 'six' or an explicit count per stage (default: six)"},
+    "initial_window": {
+        "type": int,
+        "help": "first training length (default: years - max horizon)",
+    },
+    "max_horizon": {"type": int},
+    "replications": {"type": int},
+    "levels": {"help": "comma-separated percentages"},
+    "seed": {"type": int, "help": "random seed (default: 0)"},
+    "method": {"choices": SCORE_METHODS},
+    "lc_resample": {"choices": RESAMPLE_MODES},
+    "bandwidth": {"type": float, "help": "override the plug-in bandwidth"},
+    "force_residual_stage": {
+        "action": "store_false",
+        "help": "let the independence test decide whether the residual stage runs",
+    },
+    "lags": {"type": int, "help": "independence-test lags"},
+    "dim": {"type": int, "help": "independence-test projection dimension"},
+    "kpss_permutations": {"type": int, "help": "permutations behind the stationarity p-value"},
+    "dump_samples": {"action": "store_true", "help": "also write every bootstrap curve"},
+    "jobs": {
+        "type": int,
+        "help": "worker threads over windows (default: 1); each window keeps only"
+        " its bands, so memory does not grow with the number of windows."
+        " Windows run on one thread of numpy's bundled OpenBLAS, when found,"
+        " so outputs depend on neither --jobs nor OPENBLAS_NUM_THREADS",
+    },
 }
 
 
@@ -178,7 +231,8 @@ def _check_options(config):
     run = f"{config.subcommand} with --{sources[0]}"
     if "model" in reads:
         if config.model not in _MODEL_READS:
-            raise ConfigurationError(f"model must be 'dfm' or 'lc', got {config.model!r}")
+            models = " or ".join(map(repr, _MODEL_READS))
+            raise ConfigurationError(f"model must be {models}, got {config.model!r}")
         reads.update(_MODEL_READS[config.model])
         run += f" and model {config.model!r}"
     defaults = RunConfig(subcommand=config.subcommand)
@@ -243,6 +297,7 @@ def _load_grid(config):
 
 
 def _cmd_ingest(config, grid):
+    """rebuild and dump the grid"""
     header = ["year"] + [f"age_{a}" for a in grid.ages.tolist()]
     deaths = ([f"{v:.6f}" for v in row] for row in grid.deaths.tolist())
     tables = [("grid.csv", header, _labelled(grid.years.tolist(), deaths))]
@@ -250,12 +305,14 @@ def _cmd_ingest(config, grid):
 
 
 def _cmd_gini(config, grid):
+    """per-year concentration of deaths"""
     years = grid.years.tolist()
     rows = [(year, gini_coefficient(d)) for year, d in zip(years, grid.deaths)]
     return [("gini.csv", ["year", "gini"], rows)], f"wrote gini.csv for {len(years)} years"
 
 
 def _cmd_diagnose(config, grid):
+    """stationarity and independence checks"""
     series = clr(grid)
     rows = []
     for name, tested in (("raw", series), ("differenced", difference_series(series))):
@@ -275,6 +332,7 @@ def _cmd_diagnose(config, grid):
 
 
 def _cmd_fit(config, grid):
+    """export the decomposition"""
     fitted = fit_dfm_for(clr(grid), _method_config(config))
     ages, years = grid.ages.tolist(), grid.years.tolist()
     tables = [("mean_curve.csv", ["age", "value"], zip(ages, fitted.mean_curve.tolist()))]
@@ -302,6 +360,7 @@ def _cmd_fit(config, grid):
 
 
 def _cmd_forecast(config, grid):
+    """bootstrap interval forecasts"""
     forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}[config.model]
     forecasts = forecaster(
         clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
@@ -330,6 +389,7 @@ def _cmd_forecast(config, grid):
 
 
 def _cmd_backtest(config, grid):
+    """expanding-window evaluation"""
     initial = config.initial_window
     if initial is None:
         initial = grid.n_years - config.max_horizon
@@ -366,107 +426,34 @@ _COMMANDS = {
 
 
 def _build_parser():
-    # No option has a default: RunConfig supplies every value left out.
+    """One subparser per command, offering exactly the options its run reads."""
     parser = argparse.ArgumentParser(
         prog="codaboot",
         description="Bootstrap interval forecasts of life-table death counts.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     sub.required = True
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="rerun from an emitted config.json")
-    source = common.add_mutually_exclusive_group()
-    source.add_argument("--input", help="life-table file (columnar or CSV of year,age,qx)")
-    source.add_argument(
-        "--synthetic", type=int, metavar="N", help="use N years of synthetic data instead"
-    )
-    common.add_argument("--synthetic-seed", type=int)
-    common.add_argument(
-        "--sex", choices=("female", "male", "total"), help="filter when a Sex column exists"
-    )
-    common.add_argument("--out", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, help="random seed (default: 0)")
-
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", choices=("dfm", "lc"))
-    model.add_argument(
-        "--components", help="'one', 'six' or an explicit count per stage (default: six)"
-    )
-    model.add_argument("--bandwidth", type=float, help="override the plug-in bandwidth")
-    model.add_argument(
-        "--no-force-residual-stage",
-        dest="force_residual_stage",
-        action="store_false",
-        default=None,
-        help="let the independence test decide whether the residual stage runs",
-    )
-    model.add_argument("--method", choices=SCORE_METHODS)
-    model.add_argument("--lc-resample", choices=RESAMPLE_MODES)
-    model.add_argument("--lags", type=int, help="independence-test lags")
-    model.add_argument("--dim", type=int, help="independence-test projection dimension")
-
-    bands = argparse.ArgumentParser(add_help=False)
-    bands.add_argument("--replications", type=int)
-    bands.add_argument("--levels", help="comma-separated percentages")
-
-    sub.add_parser("ingest", parents=[common], help="rebuild and dump the grid")
-    sub.add_parser("gini", parents=[common], help="per-year concentration of deaths")
-
-    diag = sub.add_parser(
-        "diagnose", parents=[common, model], help="stationarity and independence checks"
-    )
-    diag.add_argument(
-        "--kpss-permutations", type=int, help="permutations behind the stationarity p-value"
-    )
-
-    sub.add_parser("fit", parents=[common, model], help="export the decomposition")
-
-    fc = sub.add_parser(
-        "forecast", parents=[common, model, bands], help="bootstrap interval forecasts"
-    )
-    fc.add_argument("--horizon-max", type=int, dest="max_horizon")
-    fc.add_argument(
-        "--dump-samples",
-        action="store_true",
-        default=None,
-        help="also write every bootstrap curve",
-    )
-
-    bt = sub.add_parser(
-        "backtest", parents=[common, model, bands], help="expanding-window evaluation"
-    )
-    bt.add_argument(
-        "--initial-window",
-        type=int,
-        help="first training length (default: years - max horizon)",
-    )
-    bt.add_argument("--max-horizon", type=int)
-    bt.add_argument(
-        "--jobs",
-        type=int,
-        help="worker threads over windows (default: 1); each window keeps only"
-        " its bands, so memory does not grow with the number of windows."
-        " Windows run on one thread of numpy's bundled OpenBLAS, when found,"
-        " so outputs depend on neither --jobs nor OPENBLAS_NUM_THREADS",
-    )
+    for name, command in _COMMANDS.items():
+        options = sub.add_parser(name, help=command.__doc__, argument_default=argparse.SUPPRESS)
+        options.add_argument("--config", help="rerun from an emitted config.json")
+        source = options.add_mutually_exclusive_group()
+        fields = ["out", "synthetic_seed", "sex", *_READS[name]]
+        if "model" in fields:
+            fields += [field for reads in _MODEL_READS.values() for field in reads]
+        for field in dict.fromkeys(["input", "synthetic", *fields]):
+            group = source if field in ("input", "synthetic") else options
+            group.add_argument(_option(name, field), dest=field, **_OPTIONS[field])
     return parser
 
 
 def _config_from_args(args, parser):
-    given = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(RunConfig)
-        if getattr(args, field.name, None) is not None
-    }
-    if args.config:
-        # Placement always comes from the command line, never the config,
-        # and every other setting from the config alone.
-        unread = [
-            _option(args.subcommand, name)
-            for name in given
-            if name not in ("subcommand", "out", "jobs")
-        ]
+    fields = [field.name for field in dataclasses.fields(RunConfig)]
+    given = {name: getattr(args, name) for name in fields if hasattr(args, name)}
+    if hasattr(args, "config"):
+        # Placement comes from the command line alone, and every other
+        # setting from the config alone.
+        allowed = ("subcommand", *_PLACEMENT)
+        unread = [_option(args.subcommand, name) for name in given if name not in allowed]
         if unread:
             raise ConfigurationError(
                 f"--config takes no options but --out and --jobs, got {', '.join(unread)}"
@@ -478,10 +465,10 @@ def _config_from_args(args, parser):
                 f"config file is for {config.subcommand!r},"
                 f" but {args.subcommand!r} was invoked"
             )
-        placement = {name: given.get(name, getattr(RunConfig, name)) for name in ("out", "jobs")}
+        placement = {name: given[name] for name in _PLACEMENT if name in given}
         return dataclasses.replace(config, **placement)
 
-    if args.input is None and args.synthetic is None:
+    if "input" not in given and "synthetic" not in given:
         parser.error("one of --input or --synthetic is required")
     if "levels" in given:
         given["levels"] = _parse_levels(given["levels"])

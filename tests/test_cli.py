@@ -1,5 +1,7 @@
 """Command-line interface: outputs, reruns, exit codes."""
 
+import argparse
+import dataclasses
 import filecmp
 import json
 import os
@@ -11,7 +13,7 @@ import pytest
 from codaboot import cli, gini_coefficient, make_synthetic_grid
 from codaboot.bootstrap import _openblas_threads
 from codaboot.cli import main
-from codaboot.errors import DomainError
+from codaboot.errors import ConfigurationError, DomainError
 
 
 def _read_csv(path):
@@ -433,14 +435,19 @@ _GINI_CONFIG = {"subcommand": "gini", "synthetic": 10}
         json.dumps({**_GINI_CONFIG, "seed": None}),
         json.dumps({**_GINI_CONFIG, "seed": True}),
         json.dumps({**_GINI_CONFIG, "force_residual_stage": 1}),
+        json.dumps({**_GINI_CONFIG, "out": "placed"}),
+        json.dumps({**_GINI_CONFIG, "jobs": 4}),
     ],
     ids=[
         "not-json", "list", "levels-text", "levels-number", "levels-text-item",
         "levels-repeated", "sex-number", "input-number", "seed-null", "seed-bool",
-        "flag-number",
+        "flag-number", "out-field", "jobs-field",
     ],
 )
-def test_malformed_config_fails_with_one_error_line(tmp_path, capsys, text):
+def test_malformed_config_fails_with_one_error_line(tmp_path, capsys, monkeypatch, text):
+    # Only the command line places a run: a file naming out or jobs fails,
+    # and its relative out would show up here if it were honoured.
+    monkeypatch.chdir(tmp_path)
     good = tmp_path / "good.json"
     good.write_text(json.dumps({**_GINI_CONFIG, "synthetic_seed": 3}), encoding="utf-8")
     assert main(["gini", "--config", str(good), "--out", str(tmp_path / "good")]) == 0
@@ -454,6 +461,7 @@ def test_malformed_config_fails_with_one_error_line(tmp_path, capsys, text):
     assert err.startswith("error kind=ConfigurationError:"), err
     assert err.count("\n") == 1
     assert not out.exists()
+    assert not (tmp_path / "placed").exists()
 
 
 def test_config_subcommand_mismatch_fails_cleanly(tmp_path, capsys):
@@ -468,8 +476,9 @@ def test_config_subcommand_mismatch_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize(
     "subcommand, options, named",
     [
-        ("gini", ["--seed", "5"], "--seed"),
-        ("gini", ["--seed", "5", "--synthetic", "40"], "--synthetic, --seed"),
+        ("gini", ["--synthetic-seed", "5"], "--synthetic-seed"),
+        ("gini", ["--synthetic-seed", "5", "--synthetic", "40"],
+         "--synthetic, --synthetic-seed"),
         ("forecast", ["--horizon-max", "3"], "--horizon-max"),
         ("backtest", ["--max-horizon", "1", "--jobs", "2"], "--max-horizon"),
         ("fit", ["--no-force-residual-stage"], "--no-force-residual-stage"),
@@ -566,6 +575,100 @@ def test_usage_errors_exit_two(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, unoffered",
+    [
+        (["ingest", "--synthetic", "20", "--seed", "4"], "--seed 4"),
+        (["gini", "--synthetic", "20", "--seed", "4"], "--seed 4"),
+        (["fit", "--synthetic", "20", "--seed", "4"], "--seed 4"),
+        (["fit", "--synthetic", "20", "--lc-resample", "rows"], "--lc-resample rows"),
+        (["fit", "--synthetic", "20", "--method", "ets_like"], "--method ets_like"),
+        (["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
+          "--lc-resample", "rows"], "--lc-resample rows"),
+        (["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
+          "--no-force-residual-stage"], "--no-force-residual-stage"),
+        (["gini", "--config", "CONFIG", "--seed", "5"], "--seed 5"),
+        (["gini", "--config", "CONFIG", "--seed", "5", "--synthetic", "40"], "--seed 5"),
+    ],
+    ids=[
+        "ingest-seed", "gini-seed", "fit-seed", "fit-lc-resample", "fit-method",
+        "diagnose-lc-resample", "diagnose-no-force-residual-stage",
+        "gini-config-seed", "gini-config-seed-synthetic",
+    ],
+)
+def test_options_the_subcommand_does_not_offer_are_usage_errors(tmp_path, capsys,
+                                                                  args, unoffered):
+    # No valid run of the subcommand reads these settings, so its parser
+    # does not offer them; the same settings in a config file exit 1.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subcommand": "gini", "synthetic": 20}),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    args = [str(config) if a == "CONFIG" else a for a in args]
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").endswith(f"error: unrecognized arguments: {unoffered}")
+    assert not out.exists()
+
+
+def _subparsers():
+    (action,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+# A value away from its default for every field a parser may offer.
+_NON_DEFAULT = {
+    "input": "TABLE", "synthetic": 20, "out": "elsewhere", "synthetic_seed": 1,
+    "sex": "female", "seed": 1, "model": "lc", "components": "one",
+    "initial_window": 15, "max_horizon": 2, "replications": 10, "levels": (0.5,),
+    "method": "ets_like", "lc_resample": "rows", "bandwidth": 2.0,
+    "force_residual_stage": False, "lags": 2, "dim": 1, "kpss_permutations": 9,
+    "dump_samples": True, "jobs": 2,
+}
+
+
+def _passes_the_run_rule(config):
+    try:
+        cli._check_options(config)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def test_each_parser_offers_exactly_what_its_run_reads():
+    # One table decides what each run reads, and each parser offers exactly
+    # that: no option it offers is rejected by every valid run.
+    parsers = _subparsers()
+    assert sorted(parsers) == sorted(cli._READS)
+    total = 0
+    for subcommand, parser in parsers.items():
+        offered = {a.dest for a in parser._actions} - {"help"}
+        total += len(offered)
+        expected = {"config", "input", "synthetic", "synthetic_seed", "sex", "out"}
+        expected.update(cli._READS[subcommand])
+        if "model" in expected:
+            expected.update(f for reads in cli._MODEL_READS.values() for f in reads)
+        assert offered == expected, subcommand
+
+        defaults = cli.RunConfig(subcommand=subcommand)
+        models = cli._MODEL_READS if "model" in offered else ("dfm",)
+        for field in offered - {"config"}:
+            assert _NON_DEFAULT[field] != getattr(defaults, field), field
+            source = "input" if field in ("input", "sex") else "synthetic"
+            settings = {source: _NON_DEFAULT[source], field: _NON_DEFAULT[field]}
+            configs = (
+                dataclasses.replace(defaults, **{"model": model, **settings})
+                for model in models
+            )
+            assert any(map(_passes_the_run_rule, configs)), (subcommand, field)
+    assert total == 74
+
+
 def test_levels_accept_fractions_and_percentages(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -598,13 +701,16 @@ def test_levels_reject_duplicates_and_non_numbers(tmp_path, capsys):
 def test_factor_model_subcommands_reject_the_lee_carter_model(tmp_path, capsys):
     # fit and diagnose run only the factor model; asking them for
     # Lee-Carter fails instead of silently writing factor-model outputs.
+    # Their parsers do not offer --model, so the flag is a usage error.
     for args in (
         ["fit", "--synthetic", "20", "--model", "lc", "--method", "ets_like"],
         ["diagnose", "--synthetic", "20", "--model", "lc", "--kpss-permutations", "9"],
     ):
         out = tmp_path / args[0]
-        assert main(args + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --model lc" in capsys.readouterr().err
         assert not out.exists()
 
     saved = tmp_path / "saved"
@@ -616,7 +722,9 @@ def test_factor_model_subcommands_reject_the_lee_carter_model(tmp_path, capsys):
     capsys.readouterr()
     rerun = tmp_path / "rerun"
     assert main(["fit", "--config", str(edited), "--out", str(rerun)]) == 1
-    assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ConfigurationError:")
+    assert err.rstrip("\n").endswith("does not read --model")
     assert not rerun.exists()
 
 
@@ -636,14 +744,18 @@ def test_diagnose_rejects_the_lee_carter_model_before_any_work(
         raise AssertionError("the KPSS permutations ran before the model check")
 
     monkeypatch.setattr(cli, "functional_kpss_pvalue", no_kpss)
-    for args in (
-        ["diagnose", "--synthetic", "20", "--model", "lc"],
-        ["diagnose", "--config", str(edited)],
-    ):
-        out = tmp_path / "out"
-        assert main(args + ["--out", str(out)]) == 1, args
-        assert capsys.readouterr().err.startswith("error kind=ConfigurationError:")
-        assert not out.exists()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--synthetic", "20", "--model", "lc", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --model lc" in capsys.readouterr().err
+    assert not out.exists()
+
+    assert main(["diagnose", "--config", str(edited), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ConfigurationError:")
+    assert err.rstrip("\n").endswith("does not read --model")
+    assert not out.exists()
 
 
 def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
@@ -657,13 +769,6 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
             ["backtest", "--model", "lc", "--dim", "2"],
             ["forecast", "--lc-resample", "rows"],
             ["backtest", "--model", "dfm", "--lc-resample", "rows"],
-            ["fit", "--lc-resample", "rows"],
-            ["diagnose", "--kpss-permutations", "9", "--lc-resample", "rows"],
-            ["fit", "--method", "ets_like"],
-            ["ingest", "--seed", "4"],
-            ["gini", "--seed", "4"],
-            ["fit", "--seed", "4"],
-            ["diagnose", "--kpss-permutations", "9", "--no-force-residual-stage"],
         )
     ):
         out = tmp_path / str(i)
@@ -689,8 +794,17 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
     assert "--method" in capsys.readouterr().err
     assert not rerun.exists()
 
-    # Fields that a subcommand never reads, whatever its model.
+    # Fields that a subcommand never reads, whatever its model; its parser
+    # does not offer them, so only a config file can name them.
     for data, named in (
+        ({"subcommand": "fit", "lc_resample": "rows"}, "--lc-resample"),
+        ({"subcommand": "diagnose", "lc_resample": "rows"}, "--lc-resample"),
+        ({"subcommand": "fit", "method": "ets_like"}, "--method"),
+        ({"subcommand": "ingest", "seed": 4}, "--seed"),
+        ({"subcommand": "gini", "seed": 4}, "--seed"),
+        ({"subcommand": "fit", "seed": 4}, "--seed"),
+        ({"subcommand": "diagnose", "force_residual_stage": False},
+         "--no-force-residual-stage"),
         ({"subcommand": "gini", "replications": 10}, "--replications"),
         ({"subcommand": "gini", "replications": 10, "kpss_permutations": 9, "model": "lc"},
          "--model, --replications, --kpss-permutations"),
