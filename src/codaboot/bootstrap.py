@@ -17,6 +17,9 @@ prediction bands.
 All randomness in one assembly flows from a single seeded generator in a
 fixed order: one block of pool draws per primary component (in component
 order), one per residual component, then the residual-curve row indices.
+
+A caller that reads only the bands passes a workspace, in which each
+horizon's replicates are built and sorted in turn and then dropped.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import inverse_clr
+from .coda import _check_buffer, inverse_clr
 from .errors import ConfigurationError, InsufficientDataError, PoolError, check_integer
 
 SCORE_METHODS = ("random_walk_drift", "ar_aic", "ets_like")
@@ -360,7 +363,8 @@ def build_error_pools(fit, max_horizon, primary_method="random_walk_drift"):
         errors = tuple(
             scores[h:] - table[:, : n - h, h - 1].T for h in range(1, h_max + 1)
         )
-        return errors, table[:, -1].T
+        # A copy: a view would keep the whole table alive with the pool.
+        return errors, table[:, -1].T.copy()
 
     primary, primary_central = pools_for(fit.primary_scores, primary_method)
     residual, residual_central = pools_for(fit.residual_scores, "ar_aic")
@@ -378,7 +382,8 @@ def build_error_pools(fit, max_horizon, primary_method="random_walk_drift"):
 class BootstrapForecast:
     """Bootstrap forecast of one death-count curve.
 
-    ``samples`` holds the ``n_samples`` bootstrapped curves; ``lower``
+    ``samples`` holds the ``n_samples`` bootstrapped curves, or is
+    ``None`` when the forecast was made without keeping them; ``lower``
     and ``upper`` map each nominal level to its pointwise empirical
     quantile bounds, taken at ``(1 - level) / 2`` and
     ``1 - (1 - level) / 2`` by type-7 interpolation, read from one sort.
@@ -388,7 +393,7 @@ class BootstrapForecast:
     grid: np.ndarray
     radix: float
     point: np.ndarray
-    samples: np.ndarray
+    samples: np.ndarray | None
     levels: tuple
     lower: dict
     upper: dict
@@ -407,10 +412,13 @@ def _check_levels(levels):
     return out
 
 
-def _sorted_quantiles(samples, probs):
+def _sorted_quantiles(samples, probs, ordered=None):
     """``np.quantile(samples, probs, axis=0)`` bit for bit from one sort:
-    numpy's ``"linear"`` rule (Hyndman and Fan type 7) and its lerp."""
-    ordered = np.sort(samples, axis=0)
+    numpy's ``"linear"`` rule (Hyndman and Fan type 7) and its lerp.  The
+    sort goes into ``ordered`` when given, which may be ``samples`` itself."""
+    ordered = np.empty_like(samples) if ordered is None else ordered
+    ordered[...] = samples
+    ordered.sort(axis=0)
     virtual = (len(samples) - 1) * np.asarray(probs, dtype=float)
     below = np.floor(virtual)
     t = (virtual - below)[:, None]
@@ -422,18 +430,19 @@ def _sorted_quantiles(samples, probs):
     return bounds
 
 
-def _banded_forecast(fit, horizon, point, samples, levels, rng_seed):
+def _banded_forecast(fit, horizon, point, samples, levels, rng_seed, ordered=None):
     """Wrap samples as a forecast whose bounds, for every level, are the
     pointwise type-7 quantiles at ``(1 - level) / 2`` and
-    ``1 - (1 - level) / 2``, all read from one sort by :func:`_sorted_quantiles`."""
+    ``1 - (1 - level) / 2``, all read from one sort by :func:`_sorted_quantiles`
+    into ``ordered``; sorted in place, the samples are not kept."""
     alphas = [(1.0 - level) / 2.0 for level in levels]
-    bounds = _sorted_quantiles(samples, alphas + [1.0 - a for a in alphas])
+    bounds = _sorted_quantiles(samples, alphas + [1.0 - a for a in alphas], ordered)
     return BootstrapForecast(
         horizon=horizon,
         grid=fit.grid,
         radix=fit.radix,
         point=point,
-        samples=samples,
+        samples=None if ordered is samples else samples,
         levels=levels,
         lower=dict(zip(levels, bounds[: len(levels)])),
         upper=dict(zip(levels, bounds[len(levels) :])),
@@ -442,7 +451,7 @@ def _banded_forecast(fit, horizon, point, samples, levels, rng_seed):
 
 
 def assemble_forecast(
-    error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0
+    error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0, *, workspace=None
 ):
     """Assemble the bootstrap forecast of the curve ``horizon`` steps ahead.
 
@@ -466,6 +475,9 @@ def assemble_forecast(
     levels : iterable of float
         Nominal coverage levels, each strictly between 0 and 1.
     rng_seed : int or numpy.random.SeedSequence
+    workspace : ndarray, optional
+        Float ``(2, n_samples, D)`` scratch array.  The replicates are then
+        built and sorted in it, and the forecast carries ``samples=None``.
 
     Returns
     -------
@@ -480,6 +492,9 @@ def assemble_forecast(
     levels = _check_levels(levels)
 
     fit = error_pool.fit
+    curves = picked = None
+    if workspace is not None:
+        curves, picked = _check_buffer(workspace, (2, b, fit.grid.size), "workspace")
     rng = np.random.default_rng(rng_seed)
     clr_point = fit.mean_curve.copy()
     draws = []
@@ -498,13 +513,15 @@ def assemble_forecast(
 
     rows = rng.integers(0, fit.n, b)
     functions = np.concatenate((fit.primary_basis.functions, fit.residual_basis.functions))
-    clr_samples = np.column_stack(draws) @ functions
-    clr_samples += fit.mean_curve
-    clr_samples += fit.final_residuals[rows]
+    curves = np.matmul(np.column_stack(draws), functions, out=curves)
+    curves += fit.mean_curve
+    # "clip" (the rows are in range) writes into ``picked``; "raise" buffers.
+    curves += np.take(fit.final_residuals, rows, axis=0, out=picked, mode="clip")
 
     point = inverse_clr(clr_point, fit.grid, fit.radix)
-    samples = inverse_clr(clr_samples, fit.grid, fit.radix)
-    return _banded_forecast(fit, h, point, samples, levels, rng_seed)
+    samples = inverse_clr(curves, fit.grid, fit.radix, out=curves)
+    ordered = None if workspace is None else samples
+    return _banded_forecast(fit, h, point, samples, levels, rng_seed, ordered)
 
 
 def bootstrap_forecast_path(
@@ -514,6 +531,7 @@ def bootstrap_forecast_path(
     levels=(0.8, 0.95),
     rng_seed=0,
     primary_method="random_walk_drift",
+    keep_samples=True,
 ):
     """Bootstrap forecasts for every horizon ``1 .. max_horizon``.
 
@@ -523,11 +541,16 @@ def bootstrap_forecast_path(
     is reproducible as a whole and per horizon, and a ``SeedSequence``
     passed in is not advanced: the same object always gives the same path.
 
+    With ``keep_samples=False`` all horizons share one workspace, and
+    the forecasts carry ``samples=None`` (and the same bands).
+
     Returns
     -------
     list of BootstrapForecast
     """
     pools = build_error_pools(fit, max_horizon, primary_method=primary_method)
+    b = check_integer(n_samples, "n_samples", minimum=1)
+    workspace = None if keep_samples else np.empty((2, b, fit.grid.size))
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     root = np.random.SeedSequence(
@@ -535,9 +558,7 @@ def bootstrap_forecast_path(
     )
     seeds = root.spawn(pools.max_horizon)
     return [
-        assemble_forecast(
-            pools, horizon=h, n_samples=n_samples, levels=levels, rng_seed=seeds[h - 1]
-        )
+        assemble_forecast(pools, h, b, levels, seeds[h - 1], workspace=workspace)
         for h in range(1, pools.max_horizon + 1)
     ]
 

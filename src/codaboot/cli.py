@@ -363,7 +363,8 @@ def _cmd_forecast(config, grid):
     """bootstrap interval forecasts"""
     forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}[config.model]
     forecasts = forecaster(
-        clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed
+        clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed,
+        keep_samples=config.dump_samples,
     )
     ages = grid.ages.tolist()
     header = ["age", "point"]
@@ -435,6 +436,7 @@ def _build_parser():
     sub.required = True
     for name, command in _COMMANDS.items():
         options = sub.add_parser(name, help=command.__doc__, argument_default=argparse.SUPPRESS)
+        options.set_defaults(usage_error=options.error)
         options.add_argument("--config", help="rerun from an emitted config.json")
         source = options.add_mutually_exclusive_group()
         fields = ["out", "synthetic_seed", "sex", *_READS[name]]
@@ -446,7 +448,7 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args, parser):
+def _config_from_args(args):
     fields = [field.name for field in dataclasses.fields(RunConfig)]
     given = {name: getattr(args, name) for name in fields if hasattr(args, name)}
     if hasattr(args, "config"):
@@ -469,17 +471,18 @@ def _config_from_args(args, parser):
         return dataclasses.replace(config, **placement)
 
     if "input" not in given and "synthetic" not in given:
-        parser.error("one of --input or --synthetic is required")
+        args.usage_error("one of --input or --synthetic is required")
     if "levels" in given:
         given["levels"] = _parse_levels(given["levels"])
     return RunConfig(**given)
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unoffered = _build_parser().parse_known_args(argv)
+    if unoffered:
+        args.usage_error(f"unrecognized arguments: {' '.join(unoffered)}")
     try:
-        config = _config_from_args(args, parser)
+        config = _config_from_args(args)
         _check_options(config)
         # Every command computes on one BLAS thread, so its bytes do not
         # depend on OPENBLAS_NUM_THREADS.

@@ -155,7 +155,14 @@ def clr(grid_or_values, ages=None, years=None, radix=DEFAULT_RADIX):
     return ClrSeries(years=np.asarray(years), grid=grid, values=centered, radix=radix)
 
 
-def inverse_clr(curves, grid, radix=DEFAULT_RADIX):
+def _check_buffer(value, shape, name):
+    """``value`` if it is a float64 ndarray of ``shape``, else ShapeError."""
+    if not isinstance(value, np.ndarray) or value.shape != shape or value.dtype != float:
+        raise ShapeError(f"{name} must be a float array of shape {shape}")
+    return value
+
+
+def inverse_clr(curves, grid, radix=DEFAULT_RADIX, out=None):
     """Map clr-space curves back to death-count curves.
 
     Each curve is exponentiated after subtracting its maximum (which keeps
@@ -171,6 +178,9 @@ def inverse_clr(curves, grid, radix=DEFAULT_RADIX):
         Age grid the curves live on.
     radix : float
         Target integral of each output curve.
+    out : ndarray, optional
+        Float array of the shape of ``curves``, possibly ``curves`` itself,
+        that receives the result; the result is the same to the bit.
 
     Returns
     -------
@@ -178,6 +188,8 @@ def inverse_clr(curves, grid, radix=DEFAULT_RADIX):
         Strictly positive curves, same shape as the input.
     """
     x = np.asarray(curves, dtype=float)
+    if out is not None:
+        _check_buffer(out, x.shape, "out")
     single = x.ndim == 1
     x = np.atleast_2d(x)
     g = np.asarray(grid, dtype=float)
@@ -188,7 +200,8 @@ def inverse_clr(curves, grid, radix=DEFAULT_RADIX):
     if radix <= 0.0:
         raise DomainError("radix must be positive")
     w = trapezoid_weights(g)
-    out = np.subtract(x, x.max(axis=1, keepdims=True))
-    np.exp(out, out=out)
-    out *= (radix / (out @ w))[:, None]
-    return out[0] if single else out
+    target = None if out is None else np.atleast_2d(out)
+    result = np.subtract(x, x.max(axis=1, keepdims=True), out=target)
+    np.exp(result, out=result)
+    result *= (radix / (result @ w))[:, None]
+    return result[0] if single else result

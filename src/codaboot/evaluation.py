@@ -159,7 +159,7 @@ def fit_dfm_for(series, config):
     )
 
 
-def forecast_dfm(series, config, horizons, levels, rng_seed):
+def forecast_dfm(series, config, horizons, levels, rng_seed, keep_samples=False):
     """Per-horizon bootstrap forecasts of the factor model on one series."""
     return bootstrap_forecast_path(
         fit_dfm_for(series, config),
@@ -168,10 +168,11 @@ def forecast_dfm(series, config, horizons, levels, rng_seed):
         levels=levels,
         rng_seed=rng_seed,
         primary_method=config.primary_method,
+        keep_samples=keep_samples,
     )
 
 
-def forecast_lc(series, config, horizons, levels, rng_seed):
+def forecast_lc(series, config, horizons, levels, rng_seed, keep_samples=False):
     """Per-horizon bootstrap forecasts of the Lee-Carter baseline on one series."""
     counts = component_counts(config.components)
     fitted = fit_lc(series, n_components=counts.r)
@@ -182,6 +183,7 @@ def forecast_lc(series, config, horizons, levels, rng_seed):
         levels=levels,
         rng_seed=rng_seed,
         resample=config.lc_resample,
+        keep_samples=keep_samples,
     )
 
 
@@ -204,8 +206,9 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     from ``rng_seed``, so the report does not depend on ``n_jobs`` or on
     the order in which windows finish.  Each window keeps only its
     per-horizon ``lower`` and ``upper`` bands, which is all that scoring
-    reads; its forecasts and their bootstrap samples are released as soon
-    as it finishes, so memory does not grow with the number of windows.
+    reads, and its forecasts keep no samples: a factor-model window reuses
+    one workspace for all its horizons, and a Lee-Carter window frees its
+    replicates as it finishes, so memory does not grow with the windows.
     Only the CLI's ``forecast --dump-samples`` keeps bootstrap curves.
     Horizon ``h`` is scored on the first ``n - initial_window + 1 - h``
     windows, against the held-out curves from row ``initial_window + h - 1``
@@ -219,7 +222,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     rng_seed : int
     n_jobs : int
         Worker threads for the window loop, at least 1; 1 runs serially.
-        At most ``n_jobs`` windows hold bootstrap samples at once.  Either
+        At most ``n_jobs`` windows hold bootstrap replicates at once.  Either
         way the windows run on one thread of numpy's bundled OpenBLAS, when
         found, so the report does not depend on ``OPENBLAS_NUM_THREADS``.
 
@@ -272,8 +275,7 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
         forecaster = MODEL_FORECASTERS[config.model]
         sub = series_prefix(series, window)
         forecasts = forecaster(sub, config, min(h_max, n - window), plan.levels, seed)
-        # Scoring reads only the bands; returning them alone frees the
-        # window's bootstrap samples as soon as it finishes.
+        # Scoring reads only the bands; the forecasts carry no samples.
         return [(f.lower, f.upper) for f in forecasts]
 
     with _one_blas_thread():

@@ -254,6 +254,7 @@ def lc_bootstrap_path(
     levels=(0.8, 0.95),
     rng_seed=0,
     resample="entries",
+    keep_samples=True,
 ):
     """Bootstrap forecasts of the baseline for horizons ``1 .. max_horizon``.
 
@@ -284,6 +285,9 @@ def lc_bootstrap_path(
     OpenBLAS pinned to one thread, when found, and restores the count
     afterwards, so it does not depend on ``OPENBLAS_NUM_THREADS``.
 
+    Replicates are mapped back in the replicate loop's buffer, and kept
+    samples are views of it; with ``keep_samples=False`` none are kept.
+
     Returns
     -------
     list of BootstrapForecast
@@ -301,14 +305,16 @@ def lc_bootstrap_path(
         clr_samples = _replicate_curves(fit, h_max, b, rng, resample)
         point_scores = _extrapolate_scores(fit.scores, h_max)
         clr_points = fit.mean_curve + point_scores @ fit.components
+        ordered = np.empty_like(clr_samples[0]) if keep_samples else None
         return [
             _banded_forecast(
                 fit,
                 h,
                 inverse_clr(clr_points[h - 1], fit.grid, fit.radix),
-                inverse_clr(clr_samples[h - 1], fit.grid, fit.radix),
+                inverse_clr(samples, fit.grid, fit.radix, out=samples),
                 levels,
                 rng_seed,
+                ordered if keep_samples else samples,
             )
-            for h in range(1, h_max + 1)
+            for h, samples in enumerate(clr_samples, start=1)
         ]

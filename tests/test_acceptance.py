@@ -452,10 +452,12 @@ def test_batched_lc_refits_keep_bands_within_the_stated_tolerance(
     )
 
 
-def _outer_assembly(error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0):
+def _outer_assembly(error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng_seed=0,
+                    *, workspace=None):
     """The reference assembly: the same draws as ``assemble_forecast``,
     each component's curves added to the mean curve with ``np.outer`` in
-    draw order, then the resampled residual curves."""
+    draw order, then the resampled residual curves.  It takes the
+    ``workspace`` keyword and ignores it, and always keeps its samples."""
     fit = error_pool.fit
     h, b = horizon, n_samples
     rng = np.random.default_rng(rng_seed)

@@ -15,6 +15,7 @@ from codaboot import (
     DomainError,
     InsufficientDataError,
     PoolError,
+    ShapeError,
     assemble_forecast,
     bootstrap_forecast_path,
     build_error_pools,
@@ -576,6 +577,41 @@ def test_non_integral_counts_fail_instead_of_truncating():
         assemble_forecast(pools, horizon=1, n_samples=10.7)
     fc = assemble_forecast(pools, horizon=np.int32(2), n_samples=np.int64(10))
     assert fc.horizon == 2 and fc.samples.shape[0] == 10
+
+
+def test_assembly_in_a_workspace_equals_the_allocating_assembly_bit_for_bit():
+    fit = _fixture_fit(residual=2)
+    pools = build_error_pools(fit, 3)
+    workspace = np.full((2, 150, 10), np.nan)
+    for h in (1, 3):
+        kept = assemble_forecast(pools, h, 150, rng_seed=5)
+        banded = assemble_forecast(pools, h, 150, rng_seed=5, workspace=workspace)
+        assert banded.samples is None
+        np.testing.assert_array_equal(banded.point, kept.point)
+        for level in kept.levels:
+            np.testing.assert_array_equal(banded.lower[level], kept.lower[level])
+            np.testing.assert_array_equal(banded.upper[level], kept.upper[level])
+        # The replicates were mapped back and sorted in the workspace.
+        np.testing.assert_array_equal(workspace[0], np.sort(kept.samples, axis=0))
+
+
+@pytest.mark.parametrize(
+    "workspace",
+    [np.empty((2, 150, 9)), np.empty((1, 150, 10)), np.empty((2, 149, 10)),
+     np.empty((2, 150, 10), dtype=np.float32), np.zeros((2, 150, 10)).tolist()],
+    ids=["points", "one-buffer", "samples", "float32", "list"],
+)
+def test_assembly_rejects_a_misshapen_workspace(workspace):
+    pools = build_error_pools(_fixture_fit(), 2)
+    with pytest.raises(ShapeError, match=r"workspace must be a float array of shape \(2, 150, 10\)"):
+        assemble_forecast(pools, 1, 150, workspace=workspace)
+
+
+def test_bands_only_path_checks_its_replicate_count():
+    fit = _fixture_fit()
+    for n_samples in (10.5, 0):
+        with pytest.raises(DomainError, match="n_samples must be"):
+            bootstrap_forecast_path(fit, 2, n_samples=n_samples, keep_samples=False)
 
 
 def test_path_shares_pools_and_spawned_seeds():

@@ -563,10 +563,11 @@ def test_data_errors_exit_one_with_parseable_stderr(tmp_path, capsys):
     assert "error kind=ConfigurationError:" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["ingest"])  # neither --input nor --synthetic
     assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: codaboot ingest ")
     with pytest.raises(SystemExit) as info:
         main(["ingest", "--input", "a.txt", "--synthetic", "5"])
     assert info.value.code == 2
@@ -610,7 +611,11 @@ def test_options_the_subcommand_does_not_offer_are_usage_errors(tmp_path, capsys
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.rstrip("\n").endswith(f"error: unrecognized arguments: {unoffered}")
+    # The subcommand's own usage line, which lists the options it offers.
+    assert captured.err.startswith(f"usage: codaboot {args[0]} ")
+    assert captured.err.rstrip("\n").endswith(
+        f"codaboot {args[0]}: error: unrecognized arguments: {unoffered}"
+    )
     assert not out.exists()
 
 

@@ -151,6 +151,48 @@ def test_inverse_clr_leaves_its_input_unchanged():
     np.testing.assert_array_equal(stack, kept)
 
 
+def test_inverse_clr_into_out_equals_the_out_of_place_result_bit_for_bit():
+    rng = np.random.default_rng(14)
+    uneven = np.cumsum(rng.uniform(0.05, 5.0, size=31))
+    for grid in (np.arange(31.0), uneven):
+        stack = rng.normal(scale=30.0, size=(200, 31))
+        expected = inverse_clr(stack, grid, 1000.0)
+        out = np.empty_like(stack)
+        assert inverse_clr(stack, grid, 1000.0, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        in_place = stack.copy()
+        assert inverse_clr(in_place, grid, 1000.0, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, expected)
+        curve = stack[5].copy()
+        single = np.empty(31)
+        np.testing.assert_array_equal(inverse_clr(curve, grid, 1000.0, out=single), expected[5])
+        np.testing.assert_array_equal(single, expected[5])
+        inverse_clr(curve, grid, 1000.0, out=curve)
+        np.testing.assert_array_equal(curve, expected[5])
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((3, 4)), np.empty((2, 5)), np.empty(4), np.empty((2, 4), dtype=np.float32),
+     np.zeros((2, 4), dtype=int), np.zeros((2, 4)).tolist()],
+    ids=["rows", "points", "one-curve", "float32", "int", "list"],
+)
+def test_inverse_clr_rejects_a_mismatched_out(out):
+    with pytest.raises(ShapeError, match=r"out must be a float array of shape \(2, 4\)"):
+        inverse_clr(np.zeros((2, 4)), np.arange(4.0), out=out)
+
+
+def test_inverse_clr_rejects_non_finite_curves_given_an_out():
+    grid = np.arange(4.0)
+    curves = np.array([[0.0, np.nan, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    for target in (np.empty((2, 4)), curves):
+        with pytest.raises(DomainError, match="curves must be finite"):
+            inverse_clr(curves, grid, out=target)
+    assert np.isnan(curves[0, 1])
+    with pytest.raises(DomainError):
+        inverse_clr(np.array([0.0, np.inf, 0.0, 0.0]), grid, out=np.empty(4))
+
+
 def test_clr_accepts_lifetable_grid():
     rng = np.random.default_rng(10)
     deaths = rng.lognormal(sigma=1.0, size=(4, 111))

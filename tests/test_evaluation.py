@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,9 +25,9 @@ from codaboot import (
     series_prefix,
     trapezoid_weights,
 )
-from codaboot.bootstrap import BootstrapForecast, _openblas_threads
+from codaboot.bootstrap import SCORE_METHODS, BootstrapForecast, _openblas_threads
 from codaboot.coda import clr
-from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for
+from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for, forecast_dfm, forecast_lc
 
 
 def test_ecp_trivial_cases():
@@ -605,3 +606,43 @@ def test_backtest_passes_the_independence_settings_to_the_fit():
         plan = BacktestPlan(initial_window=30, max_horizon=5, configs=(method,))
         coverages.append(run_backtest(grid, plan).rows[0].ecp_by_horizon)
     assert not np.array_equal(coverages[0], coverages[1])
+
+
+@pytest.mark.parametrize(
+    "forecaster, option",
+    [(forecast_dfm, {"primary_method": method}) for method in SCORE_METHODS]
+    + [(forecast_lc, {"model": "lc", "lc_resample": mode}) for mode in ("entries", "rows")],
+    ids=[f"dfm-{method}" for method in SCORE_METHODS] + ["lc-entries", "lc-rows"],
+)
+def test_bands_only_forecasts_equal_the_kept_samples_path_bit_for_bit(forecaster, option):
+    series = clr(make_factor_grid(40, 31, seed=3))
+    config = MethodConfig(n_samples=300, **option)
+    bands_only = forecaster(series, config, 5, (0.8, 0.95), 11)
+    kept = forecaster(series, config, 5, (0.8, 0.95), 11, keep_samples=True)
+    for fc, ref in zip(bands_only, kept, strict=True):
+        assert fc.samples is None
+        assert ref.samples.shape == (300, 31)
+        np.testing.assert_array_equal(fc.point, ref.point)
+        for level in ref.levels:
+            np.testing.assert_array_equal(fc.lower[level], ref.lower[level])
+            np.testing.assert_array_equal(fc.upper[level], ref.upper[level])
+
+
+def test_bands_only_factor_forecasts_hold_one_horizon_of_replicates():
+    # A bands-only path assembles every horizon in one workspace, so its
+    # traced peak barely grows with the horizon count; a path that keeps
+    # its samples holds one (n_samples, D) array per horizon.
+    series = clr(make_factor_grid(80, 31))
+    config = MethodConfig()
+    one_array = config.n_samples * 31 * 8
+
+    def peak(horizons, keep_samples):
+        tracemalloc.start()
+        try:
+            forecast_dfm(series, config, horizons, (0.8, 0.95), 0, keep_samples=keep_samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20, False) - peak(5, False) < one_array
+    assert peak(20, True) - peak(5, True) >= 12 * one_array

@@ -262,6 +262,15 @@ def test_samples_conserve_the_radix():
         )
 
 
+def test_kept_samples_are_views_of_one_replicate_buffer():
+    # Horizons map their replicates back in the buffer that the replicate
+    # loop fills, so kept samples are not a second copy of it.
+    path = lc_bootstrap_path(fit_lc(_rank1_series(), 1), 3, n_samples=40, rng_seed=1)
+    buffer = path[0].samples.base
+    assert buffer is not None and buffer.shape == (3, 40, 8)
+    assert all(fc.samples.base is buffer for fc in path)
+
+
 def test_determinism_and_mode_separation():
     rng = np.random.default_rng(33)
     grid = np.arange(6.0)
