@@ -10,16 +10,17 @@ series, its own longest prefix, gives the central forecasts.  Both are
 kept in one :class:`ErrorPool`, together with the fit they came from,
 so a pool is all that assembly needs.  A bootstrap replicate adds one
 resampled error to each central score forecast, resamples one whole
-residual curve, assembles the clr curve, and maps it back to death
-counts.  Pointwise empirical quantiles of the replicates give the
-prediction bands.
+residual curve and assembles the clr curve.  :func:`_banded_forecast`
+maps the replicates of this model and of :mod:`codaboot.leecarter` back
+to death counts and reads the pointwise quantile bands from one sort.
 
 All randomness in one assembly flows from a single seeded generator in a
 fixed order: one block of pool draws per primary component (in component
 order), one per residual component, then the residual-curve row indices.
 
 A caller that reads only the bands passes a workspace, in which each
-horizon's replicates are built and sorted in turn and then dropped.
+horizon's replicates are built and sorted in turn and then dropped;
+otherwise they are kept in replicate order.
 """
 
 from __future__ import annotations
@@ -380,12 +381,13 @@ def build_error_pools(fit, max_horizon, primary_method="random_walk_drift"):
 
 @dataclass(frozen=True)
 class BootstrapForecast:
-    """Bootstrap forecast of one death-count curve.
+    """Bootstrap forecast of one death-count curve, made for either model
+    by :func:`_banded_forecast`.
 
-    ``samples`` holds the ``n_samples`` bootstrapped curves, or is
-    ``None`` when the forecast was made without keeping them; ``lower``
-    and ``upper`` map each nominal level to its pointwise empirical
-    quantile bounds, taken at ``(1 - level) / 2`` and
+    ``samples`` holds the ``n_samples`` bootstrapped curves in replicate
+    order, or is ``None`` when the forecast was made without keeping them;
+    ``lower`` and ``upper`` map each nominal level to its pointwise
+    empirical quantile bounds, taken at ``(1 - level) / 2`` and
     ``1 - (1 - level) / 2`` by type-7 interpolation, read from one sort.
     """
 
@@ -397,7 +399,6 @@ class BootstrapForecast:
     levels: tuple
     lower: dict
     upper: dict
-    rng_seed: object = None
 
 
 def _check_levels(levels):
@@ -412,41 +413,42 @@ def _check_levels(levels):
     return out
 
 
-def _sorted_quantiles(samples, probs, ordered=None):
-    """``np.quantile(samples, probs, axis=0)`` bit for bit from one sort:
-    numpy's ``"linear"`` rule (Hyndman and Fan type 7) and its lerp.  The
-    sort goes into ``ordered`` when given, which may be ``samples`` itself."""
-    ordered = np.empty_like(samples) if ordered is None else ordered
-    ordered[...] = samples
-    ordered.sort(axis=0)
+def _sorted_quantiles(samples, probs):
+    """``np.quantile(samples, probs, axis=0)`` bit for bit from one sort of
+    ``samples``, in place: numpy's ``"linear"`` rule (Hyndman and Fan type
+    7) and its lerp."""
+    samples.sort(axis=0)
     virtual = (len(samples) - 1) * np.asarray(probs, dtype=float)
     below = np.floor(virtual)
     t = (virtual - below)[:, None]
-    a = ordered[below.astype(np.intp)]
-    c = ordered[np.minimum(below + 1, len(samples) - 1).astype(np.intp)]
+    a = samples[below.astype(np.intp)]
+    c = samples[np.minimum(below + 1, len(samples) - 1).astype(np.intp)]
     diff = c - a
     bounds = a + diff * t
     np.subtract(c, diff * (1 - t), out=bounds, where=t >= 0.5)
     return bounds
 
 
-def _banded_forecast(fit, horizon, point, samples, levels, rng_seed, ordered=None):
-    """Wrap samples as a forecast whose bounds, for every level, are the
-    pointwise type-7 quantiles at ``(1 - level) / 2`` and
-    ``1 - (1 - level) / 2``, all read from one sort by :func:`_sorted_quantiles`
-    into ``ordered``; sorted in place, the samples are not kept."""
+def _banded_forecast(fit, horizon, clr_point, curves, levels, keep):
+    """Either model's forecast at one horizon from its clr point and
+    ``(n_samples, D)`` clr replicates, both mapped back to death counts (the
+    replicates in place).  Every level's bounds, the type-7 quantiles at
+    ``(1 - level) / 2`` and ``1 - (1 - level) / 2``, come from one sort: of
+    a copy with ``keep``, so kept samples stay in replicate order, and else
+    of the replicates themselves, which are then not kept."""
+    samples = inverse_clr(curves, fit.grid, fit.radix, out=curves)
     alphas = [(1.0 - level) / 2.0 for level in levels]
-    bounds = _sorted_quantiles(samples, alphas + [1.0 - a for a in alphas], ordered)
+    probs = alphas + [1.0 - a for a in alphas]
+    bounds = _sorted_quantiles(samples.copy() if keep else samples, probs)
     return BootstrapForecast(
         horizon=horizon,
         grid=fit.grid,
         radix=fit.radix,
-        point=point,
-        samples=None if ordered is samples else samples,
+        point=inverse_clr(clr_point, fit.grid, fit.radix),
+        samples=samples if keep else None,
         levels=levels,
         lower=dict(zip(levels, bounds[: len(levels)])),
         upper=dict(zip(levels, bounds[len(levels) :])),
-        rng_seed=rng_seed,
     )
 
 
@@ -478,6 +480,7 @@ def assemble_forecast(
     workspace : ndarray, optional
         Float ``(2, n_samples, D)`` scratch array.  The replicates are then
         built and sorted in it, and the forecast carries ``samples=None``.
+        Without it they are kept, in replicate order.
 
     Returns
     -------
@@ -518,10 +521,7 @@ def assemble_forecast(
     # "clip" (the rows are in range) writes into ``picked``; "raise" buffers.
     curves += np.take(fit.final_residuals, rows, axis=0, out=picked, mode="clip")
 
-    point = inverse_clr(clr_point, fit.grid, fit.radix)
-    samples = inverse_clr(curves, fit.grid, fit.radix, out=curves)
-    ordered = None if workspace is None else samples
-    return _banded_forecast(fit, h, point, samples, levels, rng_seed, ordered)
+    return _banded_forecast(fit, h, clr_point, curves, levels, keep=workspace is None)
 
 
 def bootstrap_forecast_path(

@@ -217,8 +217,8 @@ _OPTIONS = {
 
 
 def _check_options(config):
-    """Reject a run without exactly one source, and any setting it would
-    silently ignore: a field outside its reads set away from its default."""
+    """Reject a run without exactly one source, an unread field away from
+    its default, a negative seed, and levels that share a column tag."""
     sources = [name for name in ("input", "synthetic") if getattr(config, name) is not None]
     if len(sources) != 1:
         given = " and ".join("--" + name for name in sources) or "neither"
@@ -244,6 +244,11 @@ def _check_options(config):
     ]
     if unread:
         raise ConfigurationError(f"{run} does not read {', '.join(unread)}")
+    for name in ("seed", "synthetic_seed"):
+        if getattr(config, name) < 0:
+            raise ConfigurationError(f"{_option(config.subcommand, name)} must be non-negative")
+    if len({_level_tag(level) for level in config.levels}) < len(config.levels):
+        raise ConfigurationError(f"levels {list(config.levels)} share a column tag")
 
 
 def _parse_levels(text):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import ClrSeries, inverse_clr
+from .coda import ClrSeries
 from .errors import ConfigurationError, DomainError, RankError, check_integer
 from .bootstrap import (
     _banded_forecast,
@@ -285,8 +285,9 @@ def lc_bootstrap_path(
     OpenBLAS pinned to one thread, when found, and restores the count
     afterwards, so it does not depend on ``OPENBLAS_NUM_THREADS``.
 
-    Replicates are mapped back in the replicate loop's buffer, and kept
-    samples are views of it; with ``keep_samples=False`` none are kept.
+    Each horizon's slice of the replicate buffer goes through the factor
+    model's band routine, which maps it back in place: kept samples are
+    views of the buffer, in replicate order, and bands-only runs sort it.
 
     Returns
     -------
@@ -305,16 +306,7 @@ def lc_bootstrap_path(
         clr_samples = _replicate_curves(fit, h_max, b, rng, resample)
         point_scores = _extrapolate_scores(fit.scores, h_max)
         clr_points = fit.mean_curve + point_scores @ fit.components
-        ordered = np.empty_like(clr_samples[0]) if keep_samples else None
         return [
-            _banded_forecast(
-                fit,
-                h,
-                inverse_clr(clr_points[h - 1], fit.grid, fit.radix),
-                inverse_clr(samples, fit.grid, fit.radix, out=samples),
-                levels,
-                rng_seed,
-                ordered if keep_samples else samples,
-            )
-            for h, samples in enumerate(clr_samples, start=1)
+            _banded_forecast(fit, h, clr_points[h - 1], curves, levels, keep_samples)
+            for h, curves in enumerate(clr_samples, start=1)
         ]

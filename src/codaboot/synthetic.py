@@ -77,17 +77,10 @@ def make_synthetic_grid(n_years=50, seed=0, start_year=1950, radix=DEFAULT_RADIX
     return rebuild_deaths(table, radix=radix)
 
 
-def make_factor_grid(
-    n_years=80,
-    n_ages=31,
-    seed=0,
-    start_year=1900,
-    radix=DEFAULT_RADIX,
-    walk_scale=0.05,
-    ar_coefficient=0.5,
-    ar_scale=0.04,
-    noise_scale=0.02,
-):
+_WALK_SCALE, _AR_COEFFICIENT, _AR_SCALE, _NOISE_SCALE = 0.05, 0.5, 0.04, 0.02
+
+
+def make_factor_grid(n_years=80, n_ages=31, seed=0, start_year=1900, radix=DEFAULT_RADIX):
     """Grid whose clr curves follow an exact two-factor dynamic model.
 
     In clr space the curves are
@@ -127,13 +120,13 @@ def make_factor_grid(
     factor_two = centre(np.cos(2.0 * np.pi * position))
     factor_two /= np.sqrt(factor_two @ (weights * factor_two))
 
-    walk = np.cumsum(rng.normal(0.0, walk_scale, n))
+    walk = np.cumsum(rng.normal(0.0, _WALK_SCALE, n))
     ar = np.empty(n)
-    ar[0] = rng.normal(0.0, ar_scale)
-    shocks = rng.normal(0.0, ar_scale, n)
+    ar[0] = rng.normal(0.0, _AR_SCALE)
+    shocks = rng.normal(0.0, _AR_SCALE, n)
     for t in range(1, n):
-        ar[t] = ar_coefficient * ar[t - 1] + shocks[t]
-    noise = centre(rng.normal(0.0, noise_scale, (n, d)))
+        ar[t] = _AR_COEFFICIENT * ar[t - 1] + shocks[t]
+    noise = centre(rng.normal(0.0, _NOISE_SCALE, (n, d)))
 
     curves = mean + np.outer(walk, factor_one) + np.outer(ar, factor_two) + noise
     deaths = inverse_clr(curves, grid, radix)

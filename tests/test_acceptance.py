@@ -473,14 +473,7 @@ def _outer_assembly(error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng
             clr_point += central[h - 1, k] * basis.functions[k]
             clr_samples += np.outer(draws, basis.functions[k])
     clr_samples += fit.final_residuals[rng.integers(0, fit.n, b)]
-    return _banded_forecast(
-        fit,
-        h,
-        inverse_clr(clr_point, fit.grid, fit.radix),
-        inverse_clr(clr_samples, fit.grid, fit.radix),
-        _check_levels(levels),
-        rng_seed,
-    )
+    return _banded_forecast(fit, h, clr_point, clr_samples, _check_levels(levels), keep=True)
 
 
 def _dfm_forecasts(grid):

@@ -531,17 +531,20 @@ def test_bounds_are_the_empirical_quantiles_of_the_samples():
     ties=st.booleans(),
 )
 def test_sorted_quantiles_equal_numpy_quantiles_bit_for_bit(b, d, levels, seed, ties):
-    # The band helper reads every level from one sort; it must equal
-    # np.quantile exactly, ties and single samples included.
+    # The band helper reads every level from one sort of its argument, in
+    # place; it must equal np.quantile exactly, ties and single samples
+    # included.
     rng = np.random.default_rng(seed)
     samples = rng.lognormal(sigma=1.0, size=(b, d))
     if ties:
         samples = np.round(samples, 1)
     alphas = [(1.0 - level) / 2.0 for level in levels]
     probs = alphas + [1.0 - a for a in alphas]
+    ordered = samples.copy()
     assert np.array_equal(
-        _sorted_quantiles(samples, probs), np.quantile(samples, probs, axis=0)
+        _sorted_quantiles(ordered, probs), np.quantile(samples, probs, axis=0)
     )
+    assert np.array_equal(ordered, np.sort(samples, axis=0))
 
 
 def test_assemble_forecast_validation():

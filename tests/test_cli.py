@@ -703,6 +703,61 @@ def test_levels_reject_duplicates_and_non_numbers(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+_QUICK_FORECAST = ["forecast", "--synthetic", "25", "--components", "one",
+                   "--horizon-max", "1", "--replications", "20"]
+_QUICK_BACKTEST = ["backtest", "--synthetic", "40", "--initial-window", "30",
+                   "--max-horizon", "3", "--replications", "20", "--components", "one"]
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (_QUICK_FORECAST + ["--levels", "80,80.00001"], "share a column tag"),
+        (_QUICK_BACKTEST + ["--levels", "80,80.00001"], "share a column tag"),
+        ({"subcommand": "forecast", "synthetic": 25, "components": "one", "max_horizon": 1,
+          "replications": 20, "levels": [0.95, 0.9500001]}, "share a column tag"),
+        (_QUICK_FORECAST + ["--seed", "-1"], "--seed must be non-negative"),
+        (_QUICK_BACKTEST + ["--seed", "-1"], "--seed must be non-negative"),
+        (["diagnose", "--synthetic", "25", "--kpss-permutations", "9", "--seed", "-1"],
+         "--seed must be non-negative"),
+        (["ingest", "--synthetic", "12", "--synthetic-seed", "-1"],
+         "--synthetic-seed must be non-negative"),
+        ({"subcommand": "diagnose", "synthetic": 25, "kpss_permutations": 9, "seed": -1},
+         "--seed must be non-negative"),
+        ({"subcommand": "gini", "synthetic": 10, "synthetic_seed": -2},
+         "--synthetic-seed must be non-negative"),
+        (_QUICK_FORECAST + ["--levels", "80,80.5"], None),
+    ],
+    ids=[
+        "tags-forecast", "tags-backtest", "tags-config", "seed-forecast", "seed-backtest",
+        "seed-diagnose", "seed-ingest", "seed-config", "synthetic-seed-config",
+        "distinct-tags",
+    ],
+)
+def test_colliding_level_tags_and_negative_seeds_fail_loudly(tmp_path, capsys, args,
+                                                             error):
+    # Two levels with one column tag would overwrite each other's columns
+    # and files, and numpy takes no negative seed: both fail before any
+    # work, from flags and config files alike.
+    out = tmp_path / "out"
+    if isinstance(args, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args), encoding="utf-8")
+        args = [args["subcommand"], "--config", str(config)]
+    code = main(args + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0, err
+        header, _ = _read_csv(out / "forecast_h01.csv")
+        assert header[2:] == ["lower_80", "upper_80", "lower_80p5", "upper_80p5"]
+        return
+    assert code == 1
+    assert err.startswith("error kind=ConfigurationError:"), err
+    assert err.count("\n") == 1
+    assert err.rstrip("\n").endswith(error), err
+    assert not out.exists()
+
+
 def test_factor_model_subcommands_reject_the_lee_carter_model(tmp_path, capsys):
     # fit and diagnose run only the factor model; asking them for
     # Lee-Carter fails instead of silently writing factor-model outputs.
