@@ -45,12 +45,7 @@ from .evaluation import (
     run_backtest,
     series_prefix,
 )
-from .leecarter import (
-    RESAMPLE_MODES,
-    LcFit,
-    fit_lc,
-    lc_bootstrap_path,
-)
+from .leecarter import LcFit, fit_lc, lc_bootstrap_path
 from .lifetable import (
     LifeTableColumns,
     LifeTableGrid,

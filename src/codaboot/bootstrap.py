@@ -11,8 +11,10 @@ kept in one :class:`ErrorPool`, together with the fit they came from,
 so a pool is all that assembly needs.  A bootstrap replicate adds one
 resampled error to each central score forecast, resamples one whole
 residual curve and assembles the clr curve.  :func:`_banded_forecast`
-maps the replicates of this model and of :mod:`codaboot.leecarter` back
-to death counts and reads the pointwise quantile bands from one sort.
+maps the replicates back to death counts and reads the pointwise
+quantile bands from one sort.  A Lee-Carter fit
+(:class:`~codaboot.leecarter.LcFit`) reads as a factor fit whose
+residual stage is empty, so the baseline is bootstrapped here too.
 
 All randomness in one assembly flows from a single seeded generator in a
 fixed order: one block of pool draws per primary component (in component
@@ -104,7 +106,7 @@ def _forecast_ar_aic(x, horizons):
     return out
 
 
-def _fit_ets_prefixes(x, last_only=False):
+def _fit_ets_prefixes(x):
     """Least-squares additive-trend exponential smoothing of every prefix.
 
     ``x`` is an ``(s, m)`` stack of series.  Returns ``(level, trend)``,
@@ -116,9 +118,6 @@ def _fit_ets_prefixes(x, last_only=False):
     them; each element goes through the same float operations as a fit
     of that prefix alone, so the result does not depend on how many rows
     or columns are fitted together.  A length-one prefix has trend 0.
-    A caller that reads only the whole series' fit passes ``last_only``:
-    the parameters are then selected at the last step alone, and both
-    results are ``(s, 1)``.
     """
     s, m = x.shape
     out_level = np.empty((s, m))
@@ -147,13 +146,9 @@ def _fit_ets_prefixes(x, last_only=False):
         np.add(predicted, scratch, out=level)
         np.multiply(alpha_betas, err, out=scratch)
         trend += scratch
-        if last_only and t < m - 1:
-            continue
         best = sse.argmin(axis=1)
         out_level[:, t] = level[rows, best]
         out_trend[:, t] = trend[rows, best]
-    if last_only:
-        return out_level[:, -1:], out_trend[:, -1:]
     return out_level, out_trend
 
 
@@ -299,8 +294,9 @@ class ErrorPool:
     forecast from its whole series, so the pools and the central
     forecasts come from the same fits.  ``residual`` and
     ``residual_central`` hold the same for the residual-stage components.
-    ``fit`` is the :class:`~codaboot.dfm.DfmFit` whose scores they were
-    built from, so a pool cannot be assembled against another fit.
+    ``fit`` is the :class:`~codaboot.dfm.DfmFit` or
+    :class:`~codaboot.leecarter.LcFit` whose scores they were built from,
+    so a pool cannot be assembled against another fit.
     """
 
     fit: object
@@ -324,7 +320,7 @@ def build_error_pools(fit, max_horizon, primary_method="random_walk_drift"):
 
     Parameters
     ----------
-    fit : DfmFit
+    fit : DfmFit or LcFit
     max_horizon : int
         Pools are built for horizons ``1 .. max_horizon``, with
         ``fit.n - max_horizon >= 3``.
@@ -563,11 +559,10 @@ def bootstrap_forecast_path(
     ]
 
 
-# Work that runs side by side (backtest windows, the two stages of the
-# Lee-Carter replicate loop) runs on one OpenBLAS thread, so that no idle
-# BLAS thread competes with it for the cores; ``cli.main`` pins the whole
-# run of every subcommand too.  Results then do not depend on
-# ``OPENBLAS_NUM_THREADS``.
+# Backtest windows, which run side by side, run on one OpenBLAS thread, so
+# that no idle BLAS thread competes with them for the cores; ``cli.main``
+# pins the whole run of every subcommand too.  Results then do not depend
+# on ``OPENBLAS_NUM_THREADS``.
 
 
 @functools.cache

@@ -47,7 +47,6 @@ from .evaluation import (
     run_backtest,
 )
 from .fts import difference_series, functional_kpss_pvalue
-from .leecarter import RESAMPLE_MODES
 from .lifetable import gini_coefficient, parse_lifetable, rebuild_deaths
 from .synthetic import make_synthetic_grid
 
@@ -76,7 +75,6 @@ class RunConfig:
     levels: tuple[float, ...] = (0.8, 0.95)
     seed: int = 0
     method: str = "random_walk_drift"
-    lc_resample: str = "entries"
     bandwidth: float | None = None
     force_residual_stage: bool = True
     lags: int = 5
@@ -101,6 +99,16 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"config file must hold a JSON object, got {type(data).__name__}"
+            )
+        # Configs written before Lee-Carter was banded from the error pools
+        # record its residual resampling mode.  The default, "entries", is
+        # dropped; a config that chose another mode asked for bands that no
+        # longer exist, so it fails.
+        removed = data.pop("lc_resample", "entries")
+        if removed != "entries":
+            raise ConfigurationError(
+                f"config field 'lc_resample' was removed; only 'entries' still loads,"
+                f" got {removed!r}"
             )
         hints = typing.get_type_hints(cls)
         unknown = set(data) - set(hints)
@@ -147,7 +155,6 @@ def _method_config(config):
         force_residual_stage=config.force_residual_stage,
         independence_lags=config.lags,
         independence_dim=config.dim,
-        lc_resample=config.lc_resample,
     )
 
 
@@ -174,7 +181,7 @@ _READS = {
 }
 _MODEL_READS = {
     "dfm": ("method", "bandwidth", "force_residual_stage", "lags", "dim"),
-    "lc": ("lc_resample",),
+    "lc": (),
 }
 
 # The argparse keywords of each field's option.  An option left out sets
@@ -196,7 +203,6 @@ _OPTIONS = {
     "levels": {"help": "comma-separated percentages"},
     "seed": {"type": int, "help": "random seed (default: 0)"},
     "method": {"choices": SCORE_METHODS},
-    "lc_resample": {"choices": RESAMPLE_MODES},
     "bandwidth": {"type": float, "help": "override the plug-in bandwidth"},
     "force_residual_stage": {
         "action": "store_false",
@@ -218,7 +224,8 @@ _OPTIONS = {
 
 def _check_options(config):
     """Reject a run without exactly one source, an unread field away from
-    its default, a negative seed, and levels that share a column tag."""
+    its default, a negative seed, a level that its column tag does not
+    name, and levels that share a column tag."""
     sources = [name for name in ("input", "synthetic") if getattr(config, name) is not None]
     if len(sources) != 1:
         given = " and ".join("--" + name for name in sources) or "neither"
@@ -249,6 +256,14 @@ def _check_options(config):
             raise ConfigurationError(f"{_option(config.subcommand, name)} must be non-negative")
     if len({_level_tag(level) for level in config.levels}) < len(config.levels):
         raise ConfigurationError(f"levels {list(config.levels)} share a column tag")
+    for level in config.levels:
+        # The tag rounds the percentage to six significant digits; it names
+        # the level when that drops nothing but the float's own rounding.
+        if f"{level * 100:g}" != f"{level * 100:.15g}":
+            raise ConfigurationError(
+                f"level {level * 100:.15g} would be tagged {_level_tag(level)};"
+                " give levels to at most six significant digits"
+            )
 
 
 def _parse_levels(text):

@@ -91,7 +91,6 @@ class MethodConfig:
     # whether the residual stage runs when it is not forced.
     independence_lags: int = 5
     independence_dim: int = 3
-    lc_resample: str = "entries"
 
     @property
     def label(self):
@@ -182,7 +181,6 @@ def forecast_lc(series, config, horizons, levels, rng_seed, keep_samples=False):
         n_samples=config.n_samples,
         levels=levels,
         rng_seed=rng_seed,
-        resample=config.lc_resample,
         keep_samples=keep_samples,
     )
 
@@ -206,9 +204,9 @@ def run_backtest(grid, plan, rng_seed=0, n_jobs=1):
     from ``rng_seed``, so the report does not depend on ``n_jobs`` or on
     the order in which windows finish.  Each window keeps only its
     per-horizon ``lower`` and ``upper`` bands, which is all that scoring
-    reads, and its forecasts keep no samples: a factor-model window reuses
-    one workspace for all its horizons, and a Lee-Carter window frees its
-    replicates as it finishes, so memory does not grow with the windows.
+    reads, and its forecasts keep no samples: either model's window reuses
+    one workspace for all its horizons, so memory does not grow with the
+    windows.
     Only the CLI's ``forecast --dump-samples`` keeps bootstrap curves.
     Horizon ``h`` is scored on the first ``n - initial_window + 1 - h``
     windows, against the held-out curves from row ``initial_window + h - 1``

@@ -582,18 +582,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         (["ingest", "--synthetic", "20", "--seed", "4"], "--seed 4"),
         (["gini", "--synthetic", "20", "--seed", "4"], "--seed 4"),
         (["fit", "--synthetic", "20", "--seed", "4"], "--seed 4"),
-        (["fit", "--synthetic", "20", "--lc-resample", "rows"], "--lc-resample rows"),
         (["fit", "--synthetic", "20", "--method", "ets_like"], "--method ets_like"),
-        (["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
-          "--lc-resample", "rows"], "--lc-resample rows"),
         (["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
           "--no-force-residual-stage"], "--no-force-residual-stage"),
         (["gini", "--config", "CONFIG", "--seed", "5"], "--seed 5"),
         (["gini", "--config", "CONFIG", "--seed", "5", "--synthetic", "40"], "--seed 5"),
     ],
     ids=[
-        "ingest-seed", "gini-seed", "fit-seed", "fit-lc-resample", "fit-method",
-        "diagnose-lc-resample", "diagnose-no-force-residual-stage",
+        "ingest-seed", "gini-seed", "fit-seed", "fit-method",
+        "diagnose-no-force-residual-stage",
         "gini-config-seed", "gini-config-seed-synthetic",
     ],
 )
@@ -631,7 +628,7 @@ _NON_DEFAULT = {
     "input": "TABLE", "synthetic": 20, "out": "elsewhere", "synthetic_seed": 1,
     "sex": "female", "seed": 1, "model": "lc", "components": "one",
     "initial_window": 15, "max_horizon": 2, "replications": 10, "levels": (0.5,),
-    "method": "ets_like", "lc_resample": "rows", "bandwidth": 2.0,
+    "method": "ets_like", "bandwidth": 2.0,
     "force_residual_stage": False, "lags": 2, "dim": 1, "kpss_permutations": 9,
     "dump_samples": True, "jobs": 2,
 }
@@ -671,7 +668,7 @@ def test_each_parser_offers_exactly_what_its_run_reads():
                 for model in models
             )
             assert any(map(_passes_the_run_rule, configs)), (subcommand, field)
-    assert total == 74
+    assert total == 72
 
 
 def test_levels_accept_fractions_and_percentages(tmp_path):
@@ -827,8 +824,6 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
             ["forecast", "--model", "lc", "--no-force-residual-stage"],
             ["backtest", "--model", "lc", "--lags", "2"],
             ["backtest", "--model", "lc", "--dim", "2"],
-            ["forecast", "--lc-resample", "rows"],
-            ["backtest", "--model", "dfm", "--lc-resample", "rows"],
         )
     ):
         out = tmp_path / str(i)
@@ -842,7 +837,7 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
     # The same check applies to a config file.
     saved = tmp_path / "saved"
     lc = ["forecast", "--synthetic", "20", "--model", "lc", "--components", "one"]
-    lc += ["--horizon-max", "1", "--replications", "10", "--lc-resample", "rows"]
+    lc += ["--horizon-max", "1", "--replications", "10"]
     assert main(lc + ["--out", str(saved)]) == 0
     data = json.loads((saved / "config.json").read_text(encoding="utf-8"))
     data["method"] = "ar_aic"
@@ -857,8 +852,6 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
     # Fields that a subcommand never reads, whatever its model; its parser
     # does not offer them, so only a config file can name them.
     for data, named in (
-        ({"subcommand": "fit", "lc_resample": "rows"}, "--lc-resample"),
-        ({"subcommand": "diagnose", "lc_resample": "rows"}, "--lc-resample"),
         ({"subcommand": "fit", "method": "ets_like"}, "--method"),
         ({"subcommand": "ingest", "seed": 4}, "--seed"),
         ({"subcommand": "gini", "seed": 4}, "--seed"),
@@ -884,7 +877,7 @@ def test_configs_of_runs_that_read_their_model_options_still_load(tmp_path):
     small_forecast += ["--replications", "10"]
     for i, args in enumerate(
         (
-            ["forecast", "--model", "lc", "--lc-resample", "rows"] + small_forecast,
+            ["forecast", "--model", "lc"] + small_forecast,
             ["forecast", "--method", "ar_aic", "--bandwidth", "3", "--lags", "2",
              "--dim", "1", "--no-force-residual-stage"] + small_forecast,
             _SMALL_BACKTEST + ["--method", "ets_like", "--lags", "2"],
@@ -924,3 +917,104 @@ def test_forecast_runs_on_a_table_that_closes_at_100(tmp_path):
     for row in rows:
         lo95, lo80, up80, up95 = (float(row[i]) for i in (4, 2, 3, 5))
         assert 0.0 < lo95 <= lo80 <= up80 <= up95
+
+
+# config.json as the version with the --lc-resample option wrote it, for
+# forecast --synthetic 25 --components one --horizon-max 2 --replications 20
+# --method ets_like.
+_CONFIG_WITH_LC_RESAMPLE = """{
+  "bandwidth": null,
+  "components": "one",
+  "dim": 3,
+  "dump_samples": false,
+  "force_residual_stage": true,
+  "initial_window": null,
+  "input": null,
+  "kpss_permutations": 199,
+  "lags": 5,
+  "lc_resample": "entries",
+  "levels": [
+    0.8,
+    0.95
+  ],
+  "max_horizon": 2,
+  "method": "ets_like",
+  "model": "dfm",
+  "replications": 20,
+  "seed": 0,
+  "sex": null,
+  "subcommand": "forecast",
+  "synthetic": 25,
+  "synthetic_seed": 0
+}
+"""
+
+
+def test_configs_that_record_the_default_lc_resample_still_rerun(tmp_path):
+    # The removed field is dropped at its only default, "entries": the
+    # factor-model run reruns byte for byte, and the config it writes
+    # loses exactly that line.
+    saved = tmp_path / "saved.json"
+    saved.write_text(_CONFIG_WITH_LC_RESAMPLE, encoding="utf-8")
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main(["forecast", "--config", str(saved), "--out", str(rerun)]) == 0
+    args = ["forecast", "--synthetic", "25", "--components", "one", "--horizon-max", "2",
+            "--replications", "20", "--method", "ets_like", "--out", str(fresh)]
+    assert main(args) == 0
+    assert sorted(os.listdir(rerun)) == sorted(os.listdir(fresh))
+    _same_files(rerun, fresh, sorted(os.listdir(fresh)))
+    written = (rerun / "config.json").read_text(encoding="utf-8")
+    assert written == _CONFIG_WITH_LC_RESAMPLE.replace('  "lc_resample": "entries",\n', "")
+
+
+@pytest.mark.parametrize("value", ["rows", "columns", 3, None])
+def test_configs_that_chose_another_lc_resample_fail_loudly(tmp_path, capsys, value):
+    data = json.loads(_CONFIG_WITH_LC_RESAMPLE)
+    data.update(model="lc", method="random_walk_drift", lc_resample=value)
+    saved = tmp_path / "saved.json"
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["forecast", "--config", str(saved), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ConfigurationError: config field 'lc_resample'"
+                          " was removed"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, tag",
+    [
+        (_QUICK_FORECAST + ["--levels", "99.99999"], "100"),
+        (_QUICK_BACKTEST + ["--levels", "80,95.000001"], "95"),
+        ({"subcommand": "forecast", "synthetic": 25, "components": "one", "max_horizon": 1,
+          "replications": 20, "levels": [0.999999999]}, "100"),
+        ({"subcommand": "backtest", "synthetic": 40, "initial_window": 30, "max_horizon": 3,
+          "replications": 20, "components": "one", "levels": [0.1234567]}, "12p3457"),
+    ],
+    ids=["forecast-flag", "backtest-flag", "forecast-config", "backtest-config"],
+)
+def test_a_level_its_column_tag_does_not_name_fails_loudly(tmp_path, capsys, args, tag):
+    # The tag keeps six significant digits of the percentage, so it would
+    # name another level in every column and file it labels.
+    out = tmp_path / "out"
+    if isinstance(args, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args), encoding="utf-8")
+        args = [args["subcommand"], "--config", str(config)]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ConfigurationError: level "), err
+    assert f"would be tagged {tag};" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_levels_tagged_by_their_float_rounding_alone_still_run(tmp_path):
+    # A percentage times 100 may carry a rounding digit (0.07 * 100 is
+    # 7.000000000000001); its tag names it all the same.
+    out = tmp_path / "out"
+    assert main(_QUICK_FORECAST + ["--levels", "0.07,0.29,0.975", "--out", str(out)]) == 0
+    header, _ = _read_csv(out / "forecast_h01.csv")
+    assert header[2:] == ["lower_7", "upper_7", "lower_29", "upper_29",
+                          "lower_97p5", "upper_97p5"]

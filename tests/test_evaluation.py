@@ -611,8 +611,8 @@ def test_backtest_passes_the_independence_settings_to_the_fit():
 @pytest.mark.parametrize(
     "forecaster, option",
     [(forecast_dfm, {"primary_method": method}) for method in SCORE_METHODS]
-    + [(forecast_lc, {"model": "lc", "lc_resample": mode}) for mode in ("entries", "rows")],
-    ids=[f"dfm-{method}" for method in SCORE_METHODS] + ["lc-entries", "lc-rows"],
+    + [(forecast_lc, {"model": "lc"})],
+    ids=[f"dfm-{method}" for method in SCORE_METHODS] + ["lc"],
 )
 def test_bands_only_forecasts_equal_the_kept_samples_path_bit_for_bit(forecaster, option):
     series = clr(make_factor_grid(40, 31, seed=3))
