@@ -126,6 +126,26 @@ def test_ets_prefix_fits_match_the_two_pass_replay_bit_for_bit(x):
             assert (level[j, i], trend[j, i]) == _two_pass_ets(x[j, : i + 1])
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 80)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    )
+)
+def test_ets_last_prefix_fit_equals_the_last_column_of_every_prefix(x):
+    # The fit of a series cut at m years, the last column of its own
+    # prefix table, is column m - 1 of the table of the whole series, bit
+    # for bit: a backtest window's central forecast does not depend on how
+    # far the series runs past it.
+    level, trend = _fit_ets_prefixes(x)
+    for m in range(1, x.shape[1] + 1):
+        last_level, last_trend = _fit_ets_prefixes(x[:, :m])
+        assert last_level[:, -1].tobytes() == level[:, m - 1].tobytes()
+        assert last_trend[:, -1].tobytes() == trend[:, m - 1].tobytes()
+
 def _drift_oracle(x, horizons):
     m = x.size
     drift = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0

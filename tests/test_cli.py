@@ -582,15 +582,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         (["ingest", "--synthetic", "20", "--seed", "4"], "--seed 4"),
         (["gini", "--synthetic", "20", "--seed", "4"], "--seed 4"),
         (["fit", "--synthetic", "20", "--seed", "4"], "--seed 4"),
+        (["fit", "--synthetic", "20", "--lc-resample", "rows"], "--lc-resample rows"),
         (["fit", "--synthetic", "20", "--method", "ets_like"], "--method ets_like"),
+        (["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
+          "--lc-resample", "rows"], "--lc-resample rows"),
         (["diagnose", "--synthetic", "20", "--kpss-permutations", "9",
           "--no-force-residual-stage"], "--no-force-residual-stage"),
         (["gini", "--config", "CONFIG", "--seed", "5"], "--seed 5"),
         (["gini", "--config", "CONFIG", "--seed", "5", "--synthetic", "40"], "--seed 5"),
     ],
     ids=[
-        "ingest-seed", "gini-seed", "fit-seed", "fit-method",
-        "diagnose-no-force-residual-stage",
+        "ingest-seed", "gini-seed", "fit-seed", "fit-lc-resample", "fit-method",
+        "diagnose-lc-resample", "diagnose-no-force-residual-stage",
         "gini-config-seed", "gini-config-seed-synthetic",
     ],
 )

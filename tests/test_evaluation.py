@@ -612,7 +612,8 @@ def test_backtest_passes_the_independence_settings_to_the_fit():
     "forecaster, option",
     [(forecast_dfm, {"primary_method": method}) for method in SCORE_METHODS]
     + [(forecast_lc, {"model": "lc"})],
-    ids=[f"dfm-{method}" for method in SCORE_METHODS] + ["lc"],
+    # Lee-Carter replicates draw whole residual rows from the pools.
+    ids=[f"dfm-{method}" for method in SCORE_METHODS] + ["lc-rows"],
 )
 def test_bands_only_forecasts_equal_the_kept_samples_path_bit_for_bit(forecaster, option):
     series = clr(make_factor_grid(40, 31, seed=3))

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codaboot import (
     ClrSeries,
@@ -89,6 +91,65 @@ def test_fit_lc_rejects_a_non_integral_component_count():
             fit_lc(series, count)
     assert fit_lc(series, np.int64(2)).n_components == 2
 
+
+
+@st.composite
+def _curve_stacks(draw, wide):
+    """A ``(B, n, D)`` stack of curve slices with ``n < D`` when ``wide``,
+    else ``n >= D``, and a component count; some stacks carry one slice
+    whose centred rank is below the count, returned with that rank."""
+    if wide:
+        n = draw(st.integers(2, 12), label="n")
+        d = draw(st.integers(n + 1, 14), label="D")
+    else:
+        d = draw(st.integers(2, 12), label="D")
+        n = draw(st.integers(d, 14), label="n")
+    b = draw(st.integers(1, 4), label="B")
+    k = draw(st.integers(1, min(n, d)), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0), label="log10 scale")
+    decay = draw(st.floats(0.0, 8.0), label="spectral decay")
+    stack = rng.normal(size=(b, n, d)) * np.exp(-decay * np.arange(d) / d) * scale
+    deficient = None
+    if k > 1 and draw(st.booleans(), label="rank-deficient slice"):
+        deficient = (draw(st.integers(0, b - 1), label="slice"),
+                     draw(st.integers(1, k - 1), label="rank"))
+        rank = deficient[1]
+        stack[deficient[0]] = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) * scale
+    return stack + rng.normal(size=d), k, deficient
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["n<D", "n>=D"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_decomposition_matches_the_svd_of_each_slice(wide, data):
+    # fit_lc on each slice of a stack, as a backtest fits each window:
+    # mean, components and scores equal the slice's own thin SVD, each
+    # component turned so its largest entry is positive, bit for bit.  The
+    # residuals carry the tail singular energy, and a slice of centred
+    # rank r < k gets score columns beyond r that are zero to rounding.
+    stack, k, deficient = data.draw(_curve_stacks(wide))
+    grid = np.arange(float(stack.shape[2]))
+    for i, values in enumerate(stack):
+        series = _centred_series(values, grid)
+        fit = fit_lc(series, k)
+        mean = series.values.mean(axis=0)
+        left, singular, right = np.linalg.svd(series.values - mean, full_matrices=False)
+        components = right[:k].copy()
+        scores = left[:, :k] * singular[:k]
+        for j in range(k):
+            if components[j, np.argmax(np.abs(components[j]))] < 0.0:
+                components[j] = -components[j]
+                scores[:, j] = -scores[:, j]
+        np.testing.assert_array_equal(fit.mean_curve, mean)
+        np.testing.assert_array_equal(fit.components, components)
+        np.testing.assert_array_equal(fit.scores, scores)
+        rounding = 1e-12 * singular[0]
+        tail = np.sqrt(np.sum(singular[k:] ** 2))
+        assert abs(np.linalg.norm(fit.residuals) - tail) <= rounding
+        if deficient is not None and deficient[0] == i:
+            rank = deficient[1]
+            assert np.all(np.linalg.norm(fit.scores[:, rank:], axis=0) <= rounding)
 
 def test_the_fit_reads_as_a_factor_fit_with_an_empty_residual_stage():
     series = _centred_series(
