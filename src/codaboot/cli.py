@@ -37,6 +37,7 @@ import numpy as np
 
 from .coda import clr
 from .bootstrap import SCORE_METHODS, _check_levels, _one_blas_thread
+from .dfm import component_counts, fit_dfm
 from .errors import CodabootError, ConfigurationError
 from .evaluation import (
     BacktestPlan,
@@ -342,8 +343,12 @@ def _cmd_diagnose(config, grid):
         decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
         rows.append([f"stationarity_{name}", stat, pval, decision])
 
-    method = dataclasses.replace(_method_config(config), force_residual_stage=False)
-    outcome = fit_dfm_for(series, method).independence
+    # The row reads the test on the first-stage residuals, which the fit
+    # runs before any residual stage, so only the first stage is fitted.
+    outcome = fit_dfm(
+        series, component_counts(config.components).r, 0, bandwidth=config.bandwidth,
+        independence_lags=config.lags, independence_dim=config.dim,
+    ).independence
     decision = "dependent" if outcome.dependent() else "independent"
     decision = "degenerate" if outcome.degenerate else decision
     rows.append(["residual_independence", outcome.statistic, outcome.p_value, decision])

@@ -9,10 +9,11 @@ and a portmanteau test of serial independence.  One lag product, with
 divisor ``m`` at every lag, serves the long-run covariance surface and
 the lag covariances of the portmanteau scores; the stationarity
 statistic of every reordering of a series is read from one Gram matrix
-of its curves.  The portmanteau p-value is the chi-square upper tail,
-which for the test's integer degrees of freedom has a finite closed form
-(Abramowitz and Stegun 26.4.4-26.4.5) evaluated here with the standard
-library alone.
+of its curves, with one gather and one matrix-vector product unless its
+denominator is near zero.  The portmanteau p-value is the chi-square
+upper tail, which for the test's integer degrees of freedom has a finite
+closed form (Abramowitz and Stegun 26.4.4-26.4.5) evaluated here with
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -288,6 +289,10 @@ def project_scores(values, basis):
     return values @ (basis.functions * basis.weights).T
 
 
+# Reorderings drawn per generator call (see _reorderings).
+_PERMUTATION_BLOCK = 64
+
+
 def _kpss_forms(n, bandwidth):
     # Rows A, B, |A|, |B|, flattened; with t centred, M splits in two parts.
     t = np.arange(n) - (n - 1) / 2.0
@@ -299,13 +304,30 @@ def _kpss_forms(n, bandwidth):
     return np.concatenate([forms, np.abs(forms)]).reshape(4, n * n)
 
 
-def _kpss_ratio(forms, gram):
+def _kpss_ratio(forms, gram, cap):
+    # cap bounds every reordering's summed denominator magnitudes (see
+    # functional_kpss_pvalue), so a denominator above 1e-12 * cap is above
+    # 1e-12 times its own and the ratio needs no magnitude sums.
     gram = gram.ravel()
     numerator, denominator = forms[:2] @ gram
+    if denominator > 1e-12 * cap:
+        return float(numerator / denominator)
+    return _kpss_near_zero(forms, gram, numerator, denominator)
+
+
+def _kpss_near_zero(forms, gram, numerator, denominator):
     num_scale, den_scale = forms[2:] @ np.abs(gram)
     if denominator <= 1e-12 * den_scale:
         return 0.0 if numerator <= 1e-12 * num_scale else np.inf
     return float(numerator / denominator)
+
+
+def _reorderings(rng, n, count):
+    # The same orders, and generator state after, as count successive
+    # rng.permutation(n) calls, drawn a block per call.
+    for start in range(0, count, _PERMUTATION_BLOCK):
+        block = min(_PERMUTATION_BLOCK, count - start)
+        yield from rng.permuted(np.broadcast_to(np.arange(n), (block, n)), axis=1)
 
 
 def functional_kpss_pvalue(series, n_permutations=199, seed=0):
@@ -333,6 +355,17 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
     ``K[s, s +- l] = W(l / h)``), all built once.  An exact trend leaves
     rounding noise here, so a part at most ``1e-12`` times its terms'
     summed magnitudes counts as 0; ``0 / 0`` reads 0, ``x / 0`` ``inf``.
+    A reordering only moves the entries of ``G``, so the denominator's
+    summed magnitudes are at most ``max|B| sum|G|`` for every reordering.
+    A denominator above ``1e-12`` times twice that bound (the factor
+    absorbs rounding) is therefore read as the plain ratio, and the
+    magnitude sums are taken only below it.  Each reordering thus costs
+    one gather of ``G`` and one matrix-vector product with the two forms.
+
+    The reorderings are drawn in blocks of ``Generator.permuted``, which
+    yields the same orders, and leaves the generator in the same state,
+    as one ``Generator.permutation`` call per reordering; the p-value of a
+    seed does not depend on the block size.
 
     Parameters
     ----------
@@ -352,15 +385,20 @@ def functional_kpss_pvalue(series, n_permutations=199, seed=0):
     n_permutations = check_integer(n_permutations, "n_permutations", minimum=1)
     if series.n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {series.n}")
-    forms = _kpss_forms(series.n, plugin_bandwidth(series))
+    n = series.n
+    forms = _kpss_forms(n, plugin_bandwidth(series))
     centred = series.values - series.values.mean(axis=0)
     gram = (centred * series.weights) @ centred.T
-    observed = _kpss_ratio(forms, gram)
-    rng = np.random.default_rng(seed)
+    cap = 2.0 * np.max(forms[3]) * np.abs(gram).sum()
+    observed = _kpss_ratio(forms, gram, cap)
+    # Indexing the second axis gathers column-major, so gathering the
+    # transpose and transposing back gives each reordered Gram row-major,
+    # and the product reads it without a copy.
+    columns = np.ascontiguousarray(gram.T)
     exceed = 0
-    for _ in range(n_permutations):
-        order = rng.permutation(series.n)
-        exceed += _kpss_ratio(forms, gram[order][:, order]) >= observed
+    for order in _reorderings(np.random.default_rng(seed), n, n_permutations):
+        reordered = columns.take(order, axis=0)[:, order].T
+        exceed += _kpss_ratio(forms, reordered, cap) >= observed
     return observed, (1 + exceed) / (1 + n_permutations)
 
 

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from codaboot import cli, gini_coefficient, make_synthetic_grid
+from codaboot import cli, dfm, gini_coefficient, make_synthetic_grid
 from codaboot.bootstrap import _openblas_threads
 from codaboot.cli import main
 from codaboot.errors import ConfigurationError, DomainError
@@ -122,6 +122,33 @@ def test_diagnose_stationarity_rows_are_pinned(tmp_path):
         assert row[0] == name
         assert float(row[1]) == pytest.approx(statistic, rel=1e-9, abs=0.0)
         assert row[2:] == [p_value, decision]
+    # Written when diagnose still ran the residual stage of this dependent
+    # case. The chi-square tail scales the statistic's relative rounding by
+    # about half the statistic, so the p-value is held to 1e-6.
+    name, statistic, p_value, decision = rows[2]
+    assert (name, decision) == ("residual_independence", "dependent")
+    assert float(statistic) == pytest.approx(222.397894, rel=1e-9, abs=0.0)
+    assert float(p_value) == pytest.approx(2.58924119e-25, rel=1e-6, abs=0.0)
+
+
+def test_diagnose_fits_only_the_first_stage(tmp_path, monkeypatch):
+    # The independence row is the first stage's test, so the one long-run
+    # covariance is the first stage's; the KPSS permutations need none.
+    calls = []
+    original = dfm.long_run_covariance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dfm, "long_run_covariance", counted)
+    assert main(
+        ["diagnose", "--synthetic", "40", "--synthetic-seed", "2",
+         "--kpss-permutations", "9", "--out", str(tmp_path / "out")]
+    ) == 0
+    _, rows = _read_csv(tmp_path / "out" / "diagnostics.csv")
+    assert rows[2][3] == "dependent"
+    assert len(calls) == 1
 
 
 def test_fit_exports_the_decomposition(tmp_path):

@@ -24,33 +24,67 @@ def lifegen():
     return module
 
 
-def test_lee_carter_backtest_does_not_depend_on_the_worker_count(tmp_path, lifegen):
+def _same_files(first, second, names):
+    _, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+    assert not mismatch and not errors, (mismatch, errors)
+
+
+def _backtests_agree_across_worker_counts(tmp_path, lifegen, model):
     # Every output, config.json included, at one and at two worker threads.
     table = str(tmp_path / "table.txt")
     lifegen.write_life_table(table, 40, 3)
-    args = ["backtest", "--model", "lc", "--input", table, "--initial-window", "30",
+    args = ["backtest", "--model", model, "--input", table, "--initial-window", "30",
             "--max-horizon", "5", "--replications", "50"]
     for jobs in (1, 2):
         assert main(args + ["--jobs", str(jobs), "--out", str(tmp_path / f"jobs{jobs}")]) == 0
     assert os.path.getsize(tmp_path / "jobs1" / "summary.csv") > 0
     names = sorted(os.listdir(tmp_path / "jobs1"))
     assert names == sorted(os.listdir(tmp_path / "jobs2"))
-    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "jobs1", tmp_path / "jobs2", names,
-                                           shallow=False)
-    assert not mismatch and not errors, (mismatch, errors)
+    _same_files(tmp_path / "jobs1", tmp_path / "jobs2", names)
 
 
-def test_lee_carter_bands_only_forecasts_equal_the_kept_sample_ones(tmp_path, lifegen):
+def _bands_only_forecasts_equal_the_kept_sample_ones(tmp_path, lifegen, model):
     # Without --dump-samples each horizon is banded in one reused workspace
     # and no replicate is kept; the forecast files are the same bytes.
     table = str(tmp_path / "long.txt")
     lifegen.write_life_table(table, 100, 3)
-    args = ["forecast", "--model", "lc", "--input", table, "--horizon-max", "5",
+    args = ["forecast", "--model", model, "--input", table, "--horizon-max", "5",
             "--replications", "200"]
     kept, bands = tmp_path / "kept", tmp_path / "bands"
     assert main(args + ["--dump-samples", "--out", str(kept)]) == 0
     assert main(args + ["--out", str(bands)]) == 0
     names = [f"forecast_h{h:02d}.csv" for h in range(1, 6)]
     assert sorted(os.listdir(bands)) == ["config.json"] + names
-    _, mismatch, errors = filecmp.cmpfiles(kept, bands, names, shallow=False)
-    assert not mismatch and not errors, (mismatch, errors)
+    _same_files(kept, bands, names)
+
+
+def test_lee_carter_backtest_does_not_depend_on_the_worker_count(tmp_path, lifegen):
+    _backtests_agree_across_worker_counts(tmp_path, lifegen, "lc")
+
+
+def test_factor_model_backtest_does_not_depend_on_the_worker_count(tmp_path, lifegen):
+    _backtests_agree_across_worker_counts(tmp_path, lifegen, "dfm")
+
+
+def test_lee_carter_bands_only_forecasts_equal_the_kept_sample_ones(tmp_path, lifegen):
+    _bands_only_forecasts_equal_the_kept_sample_ones(tmp_path, lifegen, "lc")
+
+
+def test_factor_model_bands_only_forecasts_equal_the_kept_sample_ones(tmp_path, lifegen):
+    _bands_only_forecasts_equal_the_kept_sample_ones(tmp_path, lifegen, "dfm")
+
+
+def test_diagnose_of_a_table_reruns_from_its_config(tmp_path, lifegen):
+    table = str(tmp_path / "table.txt")
+    lifegen.write_life_table(table, 40, 3)
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main(["diagnose", "--input", table, "--kpss-permutations", "19",
+                 "--out", str(first)]) == 0
+    with open(first / "diagnostics.csv", encoding="utf-8") as handle:
+        assert [line.split(",")[0] for line in handle] == [
+            "name", "stationarity_raw", "stationarity_differenced", "residual_independence",
+        ]
+    assert main(["diagnose", "--config", str(first / "config.json"),
+                 "--out", str(rerun)]) == 0
+    assert sorted(os.listdir(rerun)) == ["config.json", "diagnostics.csv"]
+    _same_files(first, rerun, ["config.json", "diagnostics.csv"])

@@ -6,6 +6,7 @@ would appear under reseeding.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from codaboot import (
     plugin_bandwidth,
     trapezoid_weights,
 )
+from codaboot import fts
 from codaboot.fts import _chi2_upper_tail
 
 GRID = np.arange(10.0)
+BLOCK = fts._PERMUTATION_BLOCK
 
 
 def _centred_series(values, grid=GRID):
@@ -68,6 +71,16 @@ def _kpss_oracle(values, weights):
     if denominator <= 1e-12 * den_scale:
         return 0.0 if numerator <= 1e-12 * num_scale else np.inf
     return numerator / denominator
+
+
+def _exact_trend(n, slope, rng):
+    # Integer curves whose last entry balances the trapezoid integral are
+    # exact in floating point at every scale.
+    w = trapezoid_weights(GRID)
+    level, step = rng.integers(-5, 6, size=(2, GRID.size)).astype(float)
+    for curve in (level, step):
+        curve[-1] = -2.0 * (curve[:-1] @ w[:-1])
+    return level + slope * np.outer(np.arange(n), step)
 
 
 def _kpss_pvalue_oracle(series, n_permutations, seed):
@@ -154,18 +167,57 @@ def test_kpss_on_long_series_replays_the_full_surface_oracle(n_years):
 @pytest.mark.parametrize("n", [12, 40, 100, 220])
 @pytest.mark.parametrize("slope", [1.0, 1e3, 1e5])
 def test_kpss_reads_an_exact_trend_as_zero(n, slope):
-    # Integer curves whose last entry balances the trapezoid integral are
-    # exact in floating point at every scale; detrending them leaves only
-    # rounding noise, and every reordering breaks the trend, so p is 1.
-    rng = np.random.default_rng(n)
-    w = trapezoid_weights(GRID)
-    level, step = rng.integers(-5, 6, size=(2, GRID.size)).astype(float)
-    for curve in (level, step):
-        curve[-1] = -2.0 * (curve[:-1] @ w[:-1])
-    values = level + slope * np.outer(np.arange(n), step)
-    series = ClrSeries(years=np.arange(n), grid=GRID, values=values)
+    # Detrending an exact trend leaves only rounding noise, and every
+    # reordering breaks the trend, so p is 1.
+    series = ClrSeries(
+        years=np.arange(n), grid=GRID, values=_exact_trend(n, slope, np.random.default_rng(n))
+    )
     assert functional_kpss_pvalue(series, n_permutations=19, seed=1) == (0.0, 1.0)
     assert _kpss_pvalue_oracle(series, 19, 1) == (0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(10, 40),
+    n_permutations=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+    kind=st.sampled_from(["iid", "integrated", "trend"]),
+    # Noisy curves integrate to zero only up to their rounding, which the
+    # series check bounds at 1e-8, so the trend stays below about 4e5.
+    slope=st.sampled_from([1.0, 10.0, 100.0]),
+    noise=st.floats(1e-14, 1e-10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kpss_pvalue_matches_the_oracle_across_permutation_blocks(
+    n, n_permutations, kind, slope, noise, seed
+):
+    rng = np.random.default_rng(seed)
+    if kind == "trend":
+        values = _exact_trend(n, slope, rng)
+        jitter = _centred_series(rng.normal(size=values.shape)).values
+        values = values + noise * np.max(np.abs(values)) * jitter
+        series = ClrSeries(years=np.arange(n), grid=GRID, values=values)
+    else:
+        values = rng.normal(size=(n, GRID.size))
+        series = _centred_series(np.cumsum(values, axis=0) if kind == "integrated" else values)
+    with mock.patch.object(fts, "_kpss_near_zero", wraps=fts._kpss_near_zero) as near_zero:
+        stat, p_value = functional_kpss_pvalue(series, n_permutations, seed=seed % 1000)
+    expected_stat, expected_p = _kpss_pvalue_oracle(series, n_permutations, seed % 1000)
+    assert stat == pytest.approx(expected_stat, rel=1e-12, abs=0.0)
+    assert p_value == expected_p
+    # Both branches run: the denominator of the observed noisy trend is
+    # rounding-sized and takes the magnitude sums, while every reordering,
+    # and every other series, is read as the plain ratio.
+    assert near_zero.call_count == (kind == "trend")
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_block_draws_equal_successive_permutation_calls(count):
+    one_by_one, blocked = np.random.default_rng(17), np.random.default_rng(17)
+    expected = [one_by_one.permutation(23) for _ in range(count)]
+    drawn = list(fts._reorderings(blocked, 23, count))
+    assert len(drawn) == count
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+    assert blocked.bit_generator.state == one_by_one.bit_generator.state
 
 
 def test_kpss_reads_an_all_zero_series_as_zero():
