@@ -169,7 +169,8 @@ def _option(subcommand, name):
 
 
 # The RunConfig fields each subcommand reads besides ``subcommand``, ``out``
-# and its source; forecast and backtest also read those of their model.
+# and its source; forecast and backtest also read those of their model, the
+# factor model its lags and dim only when its residual stage is not forced.
 # Each subcommand's parser offers exactly these options, spelled by _option.
 _FORECAST_READS = ("seed", "model", "components", "max_horizon", "replications", "levels")
 _READS = {
@@ -243,6 +244,11 @@ def _check_options(config):
             raise ConfigurationError(f"model must be {models}, got {config.model!r}")
         reads.update(_MODEL_READS[config.model])
         run += f" and model {config.model!r}"
+        if config.model == "dfm" and config.force_residual_stage:
+            # A forced residual stage runs whatever the independence test
+            # decides, so the test's settings change no output.
+            reads -= {"lags", "dim"}
+            run += " and a forced residual stage"
     defaults = RunConfig(subcommand=config.subcommand)
     unread = [
         _option(config.subcommand, field.name)

@@ -404,7 +404,8 @@ def test_backtest_method_carries_the_independence_settings(tmp_path, monkeypatch
         return run_backtest(grid, plan, **kwargs)
 
     monkeypatch.setattr(cli, "run_backtest", spy)
-    args = _SMALL_BACKTEST + ["--lags", "2", "--dim", "1", "--out", str(tmp_path)]
+    args = _SMALL_BACKTEST + ["--no-force-residual-stage", "--lags", "2", "--dim", "1",
+                              "--out", str(tmp_path)]
     assert main(args) == 0
     (method,) = plans[0].configs
     assert (method.independence_lags, method.independence_dim) == (2, 1)
@@ -664,6 +665,10 @@ _NON_DEFAULT = {
 }
 
 
+# The settings under which a run reads a field that it does not always read.
+_READ_UNDER = {"lags": {"force_residual_stage": False}, "dim": {"force_residual_stage": False}}
+
+
 def _passes_the_run_rule(config):
     try:
         cli._check_options(config)
@@ -694,8 +699,9 @@ def test_each_parser_offers_exactly_what_its_run_reads():
             source = "input" if field in ("input", "sex") else "synthetic"
             settings = {source: _NON_DEFAULT[source], field: _NON_DEFAULT[field]}
             configs = (
-                dataclasses.replace(defaults, **{"model": model, **settings})
+                dataclasses.replace(defaults, **{"model": model, **under, **settings})
                 for model in models
+                for under in ({}, _READ_UNDER.get(field, {}))
             )
             assert any(map(_passes_the_run_rule, configs)), (subcommand, field)
     assert total == 72
@@ -854,14 +860,21 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
             ["forecast", "--model", "lc", "--no-force-residual-stage"],
             ["backtest", "--model", "lc", "--lags", "2"],
             ["backtest", "--model", "lc", "--dim", "2"],
+            # A forced residual stage, the default, runs whatever the
+            # independence test decides.
+            ["forecast", "--lags", "2"],
+            ["forecast", "--dim", "1"],
+            ["backtest", "--lags", "2"],
+            ["backtest", "--dim", "1"],
         )
     ):
         out = tmp_path / str(i)
         assert main(args + ["--synthetic", "20", "--out", str(out)]) == 1, args
         err = capsys.readouterr().err
         assert err.startswith("error kind=ConfigurationError:"), args
-        # Each case ends with the ignored option, or with it and its value.
-        assert args[-1] in err or args[-2] in err, err
+        # The error ends with the ignored option, the last flag of each case.
+        named = args[-1] if args[-1].startswith("--") else args[-2]
+        assert err.rstrip("\n").endswith(f"does not read {named}"), err
         assert not out.exists()
 
     # The same check applies to a config file.
@@ -893,6 +906,8 @@ def test_model_options_the_run_ignores_fail_loudly(tmp_path, capsys):
          "--model, --replications, --kpss-permutations"),
         ({"subcommand": "forecast", "initial_window": 15}, "--initial-window"),
         ({"subcommand": "backtest", "dump_samples": True}, "--dump-samples"),
+        ({"subcommand": "forecast", "lags": 2}, "--lags"),
+        ({"subcommand": "backtest", "lags": 2, "dim": 1}, "--lags, --dim"),
     ):
         edited.write_text(json.dumps({**data, "synthetic": 20}), encoding="utf-8")
         assert main([data["subcommand"], "--config", str(edited), "--out", str(rerun)]) == 1
@@ -910,7 +925,8 @@ def test_configs_of_runs_that_read_their_model_options_still_load(tmp_path):
             ["forecast", "--model", "lc"] + small_forecast,
             ["forecast", "--method", "ar_aic", "--bandwidth", "3", "--lags", "2",
              "--dim", "1", "--no-force-residual-stage"] + small_forecast,
-            _SMALL_BACKTEST + ["--method", "ets_like", "--lags", "2"],
+            _SMALL_BACKTEST + ["--method", "ets_like", "--no-force-residual-stage",
+                               "--lags", "2"],
             ["fit", "--synthetic", "20", "--bandwidth", "3", "--no-force-residual-stage"],
             ["diagnose", "--synthetic", "20", "--kpss-permutations", "9", "--dim", "1"],
         )

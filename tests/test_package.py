@@ -1,10 +1,12 @@
-"""Package surface: import cost and the names the demos rely on."""
+"""Package surface: import cost, the demos and the names they rely on."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import codaboot
 
@@ -41,11 +43,12 @@ sys.exit(max(codes))
 """
 
 
-def _run_python(*args):
+def _run_python(*args, cwd=None):
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(codaboot.__file__).parents[1])},
     )
 
@@ -69,8 +72,17 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert (tmp_path / "fit" / "config.json").is_file()
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs_from_an_empty_directory(tmp_path, demo):
+    # The demos exercise the public API end to end, run as a user's script
+    # would be, from a directory of its own.
+    result = _run_python(str(demo), cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_demo_imports_resolve():
-    # Parsed rather than run: the backtest demo alone takes half a minute.
+    # Parsed rather than run, so that a name the package no longer exports
+    # is named in the failure.
     assert DEMOS
     for demo in DEMOS:
         tree = ast.parse(demo.read_text(encoding="utf-8"))
