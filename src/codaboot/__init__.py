@@ -45,7 +45,7 @@ from .evaluation import (
     run_backtest,
     series_prefix,
 )
-from .leecarter import LcFit, fit_lc, lc_bootstrap_path
+from .leecarter import fit_lc, lc_bootstrap_path
 from .lifetable import (
     LifeTableColumns,
     LifeTableGrid,

@@ -12,9 +12,9 @@ so a pool is all that assembly needs.  A bootstrap replicate adds one
 resampled error to each central score forecast, resamples one whole
 residual curve and assembles the clr curve.  :func:`_banded_forecast`
 maps the replicates back to death counts and reads the pointwise
-quantile bands from one sort.  A Lee-Carter fit
-(:class:`~codaboot.leecarter.LcFit`) reads as a factor fit whose
-residual stage is empty, so the baseline is bootstrapped here too.
+quantile bands from one sort.  The Lee-Carter fit
+(:func:`~codaboot.leecarter.fit_lc`) is a factor fit whose residual
+stage is empty, so the baseline is bootstrapped here too.
 
 All randomness in one assembly flows from a single seeded generator in a
 fixed order: one block of pool draws per primary component (in component
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import _check_buffer, inverse_clr
+from .dfm import DfmFit
 from .errors import ConfigurationError, InsufficientDataError, PoolError, check_integer
 
 SCORE_METHODS = ("random_walk_drift", "ar_aic", "ets_like")
@@ -294,12 +295,11 @@ class ErrorPool:
     forecast from its whole series, so the pools and the central
     forecasts come from the same fits.  ``residual`` and
     ``residual_central`` hold the same for the residual-stage components.
-    ``fit`` is the :class:`~codaboot.dfm.DfmFit` or
-    :class:`~codaboot.leecarter.LcFit` whose scores they were built from,
-    so a pool cannot be assembled against another fit.
+    ``fit`` is the :class:`~codaboot.dfm.DfmFit` whose scores they were
+    built from, so a pool cannot be assembled against another fit.
     """
 
-    fit: object
+    fit: DfmFit
     max_horizon: int
     primary: tuple
     residual: tuple
@@ -320,7 +320,7 @@ def build_error_pools(fit, max_horizon, primary_method="random_walk_drift"):
 
     Parameters
     ----------
-    fit : DfmFit or LcFit
+    fit : DfmFit
     max_horizon : int
         Pools are built for horizons ``1 .. max_horizon``, with
         ``fit.n - max_horizon >= 3``.

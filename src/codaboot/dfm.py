@@ -82,7 +82,10 @@ class DfmFit:
     adding the three model terms and the residuals back together
     reproduces the input curves exactly (see :meth:`reconstruction`).
     When the residual stage did not run, ``residual_basis`` is empty and
-    ``final_residuals`` equals the first-stage remainder.
+    ``final_residuals`` equals the first-stage remainder.  The Lee-Carter
+    baseline (:func:`~codaboot.leecarter.fit_lc`) is such a one-stage fit,
+    with ``independence`` and ``bandwidth`` ``None`` because it runs no
+    test and estimates no long-run covariance.
     """
 
     years: np.ndarray
@@ -94,8 +97,8 @@ class DfmFit:
     residual_basis: EigenBasis
     residual_scores: np.ndarray
     final_residuals: np.ndarray
-    independence: IndependenceResult
-    bandwidth: float
+    independence: IndependenceResult | None
+    bandwidth: float | None
     residual_stage_ran: bool
 
     @property

@@ -63,9 +63,12 @@ class ConfigurationError(CodabootError):
 
 def check_integer(value, name, error=DomainError, minimum=None):
     """``value`` as an ``int``; a float, even an integral one, raises
-    ``error`` instead of being truncated.  Python and numpy integers pass.
+    ``error`` instead of being truncated.  Python and numpy integers pass;
+    a bool, though an ``int`` to Python, is not a count and raises.
     With a ``minimum``, a smaller value raises ``error`` too."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None

@@ -3,8 +3,9 @@
 The model is the classic one: centre the clr matrix, take its leading
 singular triplets, and call the right singular vectors the age components
 and the scaled left singular vectors the period scores.  That is a factor
-fit with one stage and no residual stage, so the baseline's prediction
-intervals come from the factor model's bootstrap
+fit with one stage and no residual stage, so :func:`fit_lc` returns a
+:class:`~codaboot.dfm.DfmFit` of that shape, and the baseline's
+prediction intervals come from the factor model's bootstrap
 (:func:`codaboot.bootstrap.bootstrap_forecast_path`) with the
 additive-trend exponential smoother on the scores.  Each replicate is the
 central score forecast, plus one resampled in-sample h-step forecast
@@ -15,89 +16,28 @@ variance of the period index does in Lee and Carter (1992).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .coda import ClrSeries
+from .dfm import DfmFit
 from .errors import DomainError, RankError, check_integer
+from .fts import EigenBasis
 from .bootstrap import bootstrap_forecast_path
-
-
-class _Basis(NamedTuple):
-    """The two fields of a basis that the bootstrap reads."""
-
-    functions: np.ndarray
-    n_components: int
-
-
-@dataclass(frozen=True)
-class LcFit:
-    """Truncated singular-value decomposition of a centred clr matrix.
-
-    ``mean_curve + scores @ components + residuals`` reproduces the
-    input curves exactly.  Components are rows of ``components``,
-    oriented so each one's entry of largest magnitude is positive.  The
-    fit also reads as a factor fit whose residual stage is empty, through
-    the properties that :func:`~codaboot.bootstrap.build_error_pools` and
-    :func:`~codaboot.bootstrap.assemble_forecast` read.
-    """
-
-    years: np.ndarray
-    grid: np.ndarray
-    radix: float
-    mean_curve: np.ndarray
-    components: np.ndarray
-    scores: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.years.size
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def primary_basis(self):
-        return _Basis(self.components, self.n_components)
-
-    @property
-    def primary_scores(self):
-        return self.scores
-
-    @property
-    def residual_basis(self):
-        return _Basis(np.empty((0, self.grid.size)), 0)
-
-    @property
-    def residual_scores(self):
-        return np.empty((self.n, 0))
-
-    @property
-    def final_residuals(self):
-        return self.residuals
-
-    def reconstruction(self):
-        return self.mean_curve + self.scores @ self.components + self.residuals
-
-
-def _decompose(values, n_components):
-    mean_curve = values.mean(axis=0)
-    left, singular, right = np.linalg.svd(values - mean_curve, full_matrices=False)
-    components = right[:n_components].copy()
-    scores = left[:, :n_components] * singular[:n_components]
-    # Flip each component, with its score column, so that its entry of
-    # largest magnitude is positive.
-    peak = np.argmax(np.abs(components), axis=1)
-    sign = np.where(components[np.arange(n_components), peak] < 0.0, -1.0, 1.0)
-    return mean_curve, components * sign[:, None], scores * sign
 
 
 def fit_lc(series, n_components=1):
     """Fit the principal-component baseline to a clr curve series.
+
+    The fit is a one-stage :class:`~codaboot.dfm.DfmFit`.  Its primary
+    basis holds the leading right singular vectors of the centred curves,
+    orthonormal under unit weights, with eigenvalues ``s**2 / n``: those
+    of the sample covariance with divisor ``n``.  Its primary scores are
+    the matching left singular vectors scaled by ``s``.  Each component is
+    flipped, with its score column, so that its entry of largest magnitude
+    is positive.  The residual stage is empty, ``final_residuals`` holds
+    the tail singular triplets, and ``independence`` and ``bandwidth`` are
+    ``None``: the baseline runs no test and estimates no long-run
+    covariance.
 
     Parameters
     ----------
@@ -107,23 +47,34 @@ def fit_lc(series, n_components=1):
 
     Returns
     -------
-    LcFit
+    DfmFit
     """
     if not isinstance(series, ClrSeries):
         raise DomainError("series must be a ClrSeries")
     k = check_integer(n_components, "n_components", RankError)
-    limit = min(series.values.shape)
-    if k < 1 or k > limit:
-        raise RankError(f"n_components must be in [1, {limit}], got {n_components}")
-    mean_curve, components, scores = _decompose(series.values, k)
-    return LcFit(
+    n, d = series.values.shape
+    if k < 1 or k > min(n, d):
+        raise RankError(f"n_components must be in [1, {min(n, d)}], got {n_components}")
+    mean_curve = series.values.mean(axis=0)
+    left, singular, right = np.linalg.svd(series.values - mean_curve, full_matrices=False)
+    components = right[:k].copy()
+    scores = left[:, :k] * singular[:k]
+    peak = np.argmax(np.abs(components), axis=1)
+    sign = np.where(components[np.arange(k), peak] < 0.0, -1.0, 1.0)
+    components, scores = components * sign[:, None], scores * sign
+    return DfmFit(
         years=series.years,
         grid=series.grid,
         radix=series.radix,
         mean_curve=mean_curve,
-        components=components,
-        scores=scores,
-        residuals=(series.values - mean_curve) - scores @ components,
+        primary_basis=EigenBasis(singular[:k] ** 2 / n, components, series.grid, np.ones(d)),
+        primary_scores=scores,
+        residual_basis=EigenBasis(np.empty(0), np.empty((0, d)), series.grid, np.ones(d)),
+        residual_scores=np.empty((n, 0)),
+        final_residuals=(series.values - mean_curve) - scores @ components,
+        independence=None,
+        bandwidth=None,
+        residual_stage_ran=False,
     )
 
 

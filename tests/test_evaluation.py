@@ -18,8 +18,12 @@ from codaboot import (
     ConfigurationError,
     DomainError,
     MethodConfig,
+    RankError,
     ShapeError,
+    bootstrap_forecast_path,
     ecp,
+    fit_dfm,
+    fit_lc,
     make_factor_grid,
     run_backtest,
     series_prefix,
@@ -588,6 +592,34 @@ def test_backtest_rejects_fewer_than_one_job():
         run_backtest(grid, plan, n_jobs=0)
     with pytest.raises(ConfigurationError, match="n_jobs must be an integer"):
         run_backtest(grid, plan, n_jobs=1.5)
+
+
+_TINY_PLAN = BacktestPlan(
+    initial_window=25, max_horizon=2, configs=(MethodConfig(components="one", n_samples=10),)
+)
+_ONES = np.ones((1, 3))
+
+
+@pytest.mark.parametrize(
+    "name, error, call",
+    [
+        ("n_samples", DomainError,
+         lambda grid: bootstrap_forecast_path(fit_dfm(clr(grid), 1, 1), 2, n_samples=True)),
+        ("max_horizon", DomainError,
+         lambda grid: bootstrap_forecast_path(fit_dfm(clr(grid), 1, 1), True)),
+        ("n_components", RankError, lambda grid: fit_lc(clr(grid), True)),
+        ("n_primary", DomainError, lambda grid: fit_dfm(clr(grid), True, 1)),
+        ("n_jobs", ConfigurationError, lambda grid: run_backtest(grid, _TINY_PLAN, n_jobs=True)),
+        ("horizon", DomainError, lambda grid: ecp(_ONES, _ONES, _ONES, True, 1)),
+    ],
+    ids=["n_samples", "max_horizon", "n_components", "n_primary", "n_jobs", "horizon"],
+)
+def test_a_bool_is_not_a_count(name, error, call):
+    # bool is an int subclass, so operator.index(True) is 1: without the
+    # check each call would silently run with a count of one.
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=4)
+    with pytest.raises(error, match=f"^{name} must be an integer, got True$"):
+        call(grid)
 
 
 def test_backtest_passes_the_independence_settings_to_the_fit():

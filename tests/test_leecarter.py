@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from codaboot import (
     ClrSeries,
     ConfigurationError,
+    DfmFit,
     DomainError,
     InsufficientDataError,
     RankError,
@@ -42,10 +43,10 @@ def _rank1_series(seed=1, n=20, d=8):
 def test_rank1_fit_is_exact():
     series = _rank1_series()
     fit = fit_lc(series, n_components=1)
-    assert np.max(np.abs(fit.residuals)) < 1e-10
-    assert np.linalg.norm(fit.components[0]) == pytest.approx(1.0, abs=1e-12)
-    peak = np.argmax(np.abs(fit.components[0]))
-    assert fit.components[0, peak] > 0.0
+    assert np.max(np.abs(fit.final_residuals)) < 1e-10
+    assert np.linalg.norm(fit.primary_basis.functions[0]) == pytest.approx(1.0, abs=1e-12)
+    peak = np.argmax(np.abs(fit.primary_basis.functions[0]))
+    assert fit.primary_basis.functions[0, peak] > 0.0
     np.testing.assert_allclose(fit.reconstruction(), series.values, rtol=0, atol=1e-10)
 
 
@@ -58,10 +59,10 @@ def test_truncation_error_equals_tail_singular_energy():
         series.values - series.values.mean(axis=0), compute_uv=False
     )
     tail = float(np.sum(singular[2:] ** 2))
-    assert float(np.sum(fit.residuals**2)) == pytest.approx(tail, rel=1e-10)
+    assert float(np.sum(fit.final_residuals**2)) == pytest.approx(tail, rel=1e-10)
     # The kept triplets match the SVD up to the fixed sign convention.
     np.testing.assert_allclose(
-        np.abs(np.linalg.norm(fit.scores, axis=0)), singular[:2], rtol=1e-10
+        np.abs(np.linalg.norm(fit.primary_scores, axis=0)), singular[:2], rtol=1e-10
     )
 
 
@@ -89,7 +90,7 @@ def test_fit_lc_rejects_a_non_integral_component_count():
     for count in (1.5, 2.0, np.float64(2.0), "2"):
         with pytest.raises(RankError, match="must be an integer"):
             fit_lc(series, count)
-    assert fit_lc(series, np.int64(2)).n_components == 2
+    assert fit_lc(series, np.int64(2)).n_primary == 2
 
 
 
@@ -142,34 +143,32 @@ def test_stacked_decomposition_matches_the_svd_of_each_slice(wide, data):
                 components[j] = -components[j]
                 scores[:, j] = -scores[:, j]
         np.testing.assert_array_equal(fit.mean_curve, mean)
-        np.testing.assert_array_equal(fit.components, components)
-        np.testing.assert_array_equal(fit.scores, scores)
+        np.testing.assert_array_equal(fit.primary_basis.functions, components)
+        np.testing.assert_array_equal(fit.primary_scores, scores)
         rounding = 1e-12 * singular[0]
         tail = np.sqrt(np.sum(singular[k:] ** 2))
-        assert abs(np.linalg.norm(fit.residuals) - tail) <= rounding
+        assert abs(np.linalg.norm(fit.final_residuals) - tail) <= rounding
         if deficient is not None and deficient[0] == i:
             rank = deficient[1]
-            assert np.all(np.linalg.norm(fit.scores[:, rank:], axis=0) <= rounding)
+            assert np.all(np.linalg.norm(fit.primary_scores[:, rank:], axis=0) <= rounding)
 
 def test_the_fit_reads_as_a_factor_fit_with_an_empty_residual_stage():
     series = _centred_series(
         np.cumsum(np.random.default_rng(5).normal(size=(12, 6)), axis=0), np.arange(6.0)
     )
     fit = fit_lc(series, n_components=2)
-    assert fit.primary_basis.n_components == 2
-    np.testing.assert_array_equal(fit.primary_basis.functions, fit.components)
-    assert fit.primary_scores is fit.scores
-    assert fit.residual_basis.n_components == 0
+    assert isinstance(fit, DfmFit)
+    assert fit.residual_stage_ran is False
+    assert fit.independence is None and fit.bandwidth is None
+    assert (fit.n_primary, fit.n_residual) == (2, 0)
     assert fit.residual_basis.functions.shape == (0, 6)
     assert fit.residual_scores.shape == (12, 0)
-    assert fit.final_residuals is fit.residuals
-    rebuilt = (
-        fit.mean_curve
-        + fit.primary_scores @ fit.primary_basis.functions
-        + fit.residual_scores @ fit.residual_basis.functions
-        + fit.final_residuals
-    )
-    np.testing.assert_allclose(rebuilt, series.values, rtol=0, atol=1e-10)
+    # The eigenvalues are those of the sample covariance with divisor n.
+    centred = series.values - series.values.mean(axis=0)
+    singular = np.linalg.svd(centred, full_matrices=False)[1]
+    np.testing.assert_array_equal(fit.primary_basis.eigenvalues, singular[:2] ** 2 / 12)
+    np.testing.assert_array_equal(fit.primary_basis.weights, np.ones(6))
+    np.testing.assert_allclose(fit.reconstruction(), series.values, rtol=0, atol=1e-10)
 
 
 def test_bootstrap_replicates_follow_the_documented_recipe():
@@ -188,7 +187,7 @@ def test_bootstrap_replicates_follow_the_documented_recipe():
     path = lc_bootstrap_path(fit, max_horizon=h_max, n_samples=b, rng_seed=99)
 
     n = fit.n
-    table = _PREFIX_TABLES["ets_like"](fit.scores, h_max)
+    table = _PREFIX_TABLES["ets_like"](fit.primary_scores, h_max)
     seeds = np.random.SeedSequence(99).spawn(h_max)
     for h in range(1, h_max + 1):
         rng = np.random.default_rng(seeds[h - 1])
@@ -196,11 +195,11 @@ def test_bootstrap_replicates_follow_the_documented_recipe():
         point = fit.mean_curve.copy()
         for k in range(2):
             central = table[k, -1, h - 1]
-            errors = fit.scores[h:, k] - table[k, : n - h, h - 1]
+            errors = fit.primary_scores[h:, k] - table[k, : n - h, h - 1]
             draws = central + errors[rng.integers(0, errors.size, b)]
-            curves += np.outer(draws, fit.components[k])
-            point += central * fit.components[k]
-        curves += fit.residuals[rng.integers(0, n, b)]
+            curves += np.outer(draws, fit.primary_basis.functions[k])
+            point += central * fit.primary_basis.functions[k]
+        curves += fit.final_residuals[rng.integers(0, n, b)]
         np.testing.assert_allclose(
             path[h - 1].samples, inverse_clr(curves, grid, series.radix), rtol=0, atol=1e-10
         )
@@ -220,7 +219,7 @@ def test_zero_residuals_collapse_the_bands():
     beta = 0.3 * np.arange(25.0) - 2.0
     series = _centred_series(np.outer(beta, rng.normal(size=8)), grid)
     fit = fit_lc(series, n_components=1)
-    assert np.max(np.abs(fit.residuals)) < 1e-10
+    assert np.max(np.abs(fit.final_residuals)) < 1e-10
     for fc in lc_bootstrap_path(fit, max_horizon=2, n_samples=200, rng_seed=0):
         off = fc.samples[np.max(np.abs(fc.samples - fc.point), axis=1) > 1e-8]
         assert 0 < len(off) < 20
