@@ -57,7 +57,7 @@ def fit_lc(series, n_components=1):
         raise RankError(f"n_components must be in [1, {min(n, d)}], got {n_components}")
     mean_curve = series.values.mean(axis=0)
     left, singular, right = np.linalg.svd(series.values - mean_curve, full_matrices=False)
-    components = right[:k].copy()
+    components = right[:k]
     scores = left[:, :k] * singular[:k]
     peak = np.argmax(np.abs(components), axis=1)
     sign = np.where(components[np.arange(k), peak] < 0.0, -1.0, 1.0)
