@@ -9,7 +9,7 @@ from .bootstrap import (
     build_error_pools,
 )
 from .coda import ClrSeries, clr, inverse_clr, trapezoid_weights
-from .dfm import ComponentCounts, DfmFit, component_counts, fit_dfm
+from .dfm import DfmFit, component_counts, fit_dfm
 from .errors import (
     CodabootError,
     CompletenessError,

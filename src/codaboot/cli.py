@@ -43,8 +43,7 @@ from .evaluation import (
     BacktestPlan,
     MethodConfig,
     fit_dfm_for,
-    forecast_dfm,
-    forecast_lc,
+    forecast,
     run_backtest,
 )
 from .fts import difference_series, functional_kpss_pvalue
@@ -352,7 +351,7 @@ def _cmd_diagnose(config, grid):
     # The row reads the test on the first-stage residuals, which the fit
     # runs before any residual stage, so only the first stage is fitted.
     outcome = fit_dfm(
-        series, component_counts(config.components).r, 0, bandwidth=config.bandwidth,
+        series, component_counts(config.components), 0, bandwidth=config.bandwidth,
         independence_lags=config.lags, independence_dim=config.dim,
     ).independence
     decision = "dependent" if outcome.dependent() else "independent"
@@ -392,8 +391,8 @@ def _cmd_fit(config, grid):
 
 def _cmd_forecast(config, grid):
     """bootstrap interval forecasts"""
-    forecaster = {"dfm": forecast_dfm, "lc": forecast_lc}[config.model]
-    forecasts = forecaster(
+    # Not through MODEL_FORECASTERS, which holds the backtest's per-window calls.
+    forecasts = forecast(
         clr(grid), _method_config(config), config.max_horizon, config.levels, config.seed,
         keep_samples=config.dump_samples,
     )
@@ -402,20 +401,20 @@ def _cmd_forecast(config, grid):
     for level in config.levels:
         header += [f"lower_{_level_tag(level)}", f"upper_{_level_tag(level)}"]
     tables = []
-    for forecast in forecasts:
-        columns = [forecast.point]
+    for fc in forecasts:
+        columns = [fc.point]
         for level in config.levels:
-            columns += [forecast.lower[level], forecast.upper[level]]
+            columns += [fc.lower[level], fc.upper[level]]
         columns = np.column_stack(columns)
         rows = _labelled(ages, columns.tolist())
-        tables.append((f"forecast_h{forecast.horizon:02d}.csv", header, rows))
+        tables.append((f"forecast_h{fc.horizon:02d}.csv", header, rows))
         if config.dump_samples:
-            samples = forecast.samples
+            samples = fc.samples
             sample_header = ["age"] + [f"sample_{b + 1}" for b in range(samples.shape[0])]
             # Converted one age at a time, as written, to hold no more
             # Python floats than one row.
             rows = _labelled(ages, map(np.ndarray.tolist, samples.T))
-            tables.append((f"samples_h{forecast.horizon:02d}.csv", sample_header, rows))
+            tables.append((f"samples_h{fc.horizon:02d}.csv", sample_header, rows))
     replicates = f"{config.replications} replicates each"
     return tables, f"wrote {len(forecasts)} horizon files with {replicates}"
 

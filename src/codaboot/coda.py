@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .lifetable import DEFAULT_RADIX, LifeTableGrid
+from .lifetable import DEFAULT_RADIX, LifeTableGrid, check_radix
 
 
 def trapezoid_weights(grid):
@@ -33,7 +33,7 @@ def trapezoid_weights(grid):
     Parameters
     ----------
     grid : array_like
-        Strictly increasing points, at least two of them.
+        Strictly increasing finite points, at least two of them.
 
     Returns
     -------
@@ -43,6 +43,8 @@ def trapezoid_weights(grid):
     u = np.asarray(grid, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise ShapeError("grid must be a vector with at least two points")
+    if not np.all(np.isfinite(u)):
+        raise DomainError("grid must be finite")
     if np.any(np.diff(u) <= 0.0):
         raise DomainError("grid must be strictly increasing")
     w = np.empty_like(u)
@@ -66,7 +68,8 @@ class ClrSeries:
         Curves, shape ``(n, D)``.  Each row integrates to zero under the
         trapezoid rule on ``grid`` (within ``1e-8``).
     radix : float
-        The simplex total the curves came from, kept for the way back.
+        The simplex total the curves came from, kept for the way back;
+        finite and positive.
     """
 
     years: np.ndarray
@@ -89,6 +92,7 @@ class ClrSeries:
             raise DomainError("years must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise DomainError("curves must be finite")
+        check_radix(self.radix)
         w = trapezoid_weights(grid)
         worst = np.max(np.abs(values @ w)) if values.size else 0.0
         if worst > 1e-8:
@@ -100,11 +104,6 @@ class ClrSeries:
     @property
     def n(self) -> int:
         return self.years.size
-
-    @property
-    def eta(self) -> float:
-        """Span of the age grid, the normalising constant of the transform."""
-        return float(self.grid[-1] - self.grid[0])
 
     @property
     def weights(self) -> np.ndarray:
@@ -197,8 +196,7 @@ def inverse_clr(curves, grid, radix=DEFAULT_RADIX, out=None):
         raise ShapeError(f"curves have {x.shape[1]} points but grid has {g.size}")
     if not np.all(np.isfinite(x)):
         raise DomainError("curves must be finite")
-    if radix <= 0.0:
-        raise DomainError("radix must be positive")
+    check_radix(radix)
     w = trapezoid_weights(g)
     target = None if out is None else np.atleast_2d(out)
     result = np.subtract(x, x.max(axis=1, keepdims=True), out=target)

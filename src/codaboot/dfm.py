@@ -17,7 +17,6 @@ exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +34,8 @@ from .fts import (
 )
 
 
-class ComponentCounts(NamedTuple):
-    """Numbers of primary and residual components for a named policy."""
-
-    r: int
-    residual: int
-
-
 def component_counts(policy):
-    """Resolve a component policy to explicit counts.
+    """Resolve a component policy to the count each stage takes.
 
     Parameters
     ----------
@@ -54,14 +46,15 @@ def component_counts(policy):
 
     Returns
     -------
-    ComponentCounts
+    int
+        Components per stage.
     """
     if isinstance(policy, str):
         name = policy.strip().lower()
         if name == "one":
-            return ComponentCounts(1, 1)
+            return 1
         if name == "six":
-            return ComponentCounts(6, 6)
+            return 6
         try:
             policy = int(name)
         except ValueError:
@@ -71,7 +64,7 @@ def component_counts(policy):
     k = check_integer(policy, "policy")
     if k < 1:
         raise DomainError(f"explicit component count must be positive, got {k}")
-    return ComponentCounts(k, k)
+    return k
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ def ecp(holdouts, lowers, uppers, horizon, max_horizon):
     float
         ``1 - misses / (n_windows * D)`` where a miss is an observation
         strictly below its lower bound or strictly above its upper
-        bound; values on a bound count as covered.
+        bound; values on a bound count as covered.  Holdouts must be
+        finite and bounds not NaN; a bound may be infinite.
     """
     h = check_integer(horizon, "horizon")
     h_max = check_integer(max_horizon, "max_horizon")
@@ -71,6 +72,12 @@ def ecp(holdouts, lowers, uppers, horizon, max_horizon):
             f"horizon {h} of a max-horizon-{h_max} scheme has {expected} windows,"
             f" got {d.shape[0]}"
         )
+    # A comparison with NaN is false, so a NaN would score as covered.
+    # Infinite bounds stay valid: they cover everything on their side.
+    if not np.all(np.isfinite(d)):
+        raise DomainError("holdouts must be finite")
+    if np.isnan(lo).any() or np.isnan(up).any():
+        raise DomainError("bounds must not be NaN")
     misses = int(np.sum((d > up) | (d < lo)))
     return 1.0 - misses / d.size
 
@@ -146,11 +153,9 @@ def fit_dfm_for(series, config):
         raise ConfigurationError(
             f"a factor-model fit needs model 'dfm', got {config.model!r}"
         )
-    counts = component_counts(config.components)
+    k = component_counts(config.components)
     return fit_dfm(
-        series,
-        counts.r,
-        counts.residual,
+        series, k, k,
         bandwidth=config.bandwidth,
         force_residual_stage=config.force_residual_stage,
         independence_lags=config.independence_lags,
@@ -158,40 +163,28 @@ def fit_dfm_for(series, config):
     )
 
 
-def forecast_dfm(series, config, horizons, levels, rng_seed, keep_samples=False):
-    """Per-horizon bootstrap forecasts of the factor model on one series."""
-    return bootstrap_forecast_path(
-        fit_dfm_for(series, config),
-        max_horizon=horizons,
-        n_samples=config.n_samples,
-        levels=levels,
-        rng_seed=rng_seed,
-        primary_method=config.primary_method,
-        keep_samples=keep_samples,
+def forecast(series, config, horizons, levels, rng_seed, keep_samples=False):
+    """Per-horizon bootstrap forecasts of ``config.model`` on one series.
+
+    ``lc`` is the Lee-Carter baseline; any other model is fitted by
+    :func:`fit_dfm_for` and its scores drawn by ``config.primary_method``.
+    The fit and path functions are module globals read at call time.
+    """
+    common = dict(
+        max_horizon=horizons, n_samples=config.n_samples, levels=levels,
+        rng_seed=rng_seed, keep_samples=keep_samples,
     )
-
-
-def forecast_lc(series, config, horizons, levels, rng_seed, keep_samples=False):
-    """Per-horizon bootstrap forecasts of the Lee-Carter baseline on one series."""
-    counts = component_counts(config.components)
-    fitted = fit_lc(series, n_components=counts.r)
-    return lc_bootstrap_path(
-        fitted,
-        max_horizon=horizons,
-        n_samples=config.n_samples,
-        levels=levels,
-        rng_seed=rng_seed,
-        keep_samples=keep_samples,
+    if config.model == "lc":
+        return lc_bootstrap_path(fit_lc(series, component_counts(config.components)), **common)
+    return bootstrap_forecast_path(
+        fit_dfm_for(series, config), primary_method=config.primary_method, **common
     )
 
 
 # Maps a MethodConfig.model name to a callable producing the per-horizon
 # forecasts of one window.  Tests may register additional entries to
 # drive the harness with scripted bounds.
-MODEL_FORECASTERS = {
-    "dfm": forecast_dfm,
-    "lc": forecast_lc,
-}
+MODEL_FORECASTERS = {"dfm": forecast, "lc": forecast}
 
 
 def run_backtest(grid, plan, rng_seed=0, n_jobs=1):

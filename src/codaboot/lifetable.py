@@ -35,6 +35,13 @@ from .errors import (
 
 DEFAULT_RADIX = 100000.0
 
+
+def check_radix(radix):
+    """Raise DomainError unless ``radix`` is finite and positive."""
+    if not (np.isfinite(radix) and radix > 0.0):
+        raise DomainError(f"radix must be finite and positive, got {radix!r}")
+
+
 # Recomputed death counts below this value are lifted to it so that the
 # log-ratio transform stays finite.
 POSITIVITY_FLOOR = 1e-6
@@ -75,7 +82,7 @@ class LifeTableGrid:
         Strictly positive death counts, shape ``(n, D)``.  Every row sums
         to ``radix`` within ``1e-6``.
     radix : float
-        Initial cohort size of the synthetic life table.
+        Initial cohort size of the synthetic life table, finite and positive.
     """
 
     years: np.ndarray
@@ -102,6 +109,7 @@ class LifeTableGrid:
             raise DomainError("ages must be strictly increasing")
         if not np.all(np.isfinite(deaths)) or np.any(deaths <= 0.0):
             raise DomainError("death counts must be finite and strictly positive")
+        check_radix(self.radix)
         row_sums = deaths.sum(axis=1)
         worst = np.max(np.abs(row_sums - self.radix))
         if worst > 1e-6:
@@ -316,8 +324,7 @@ def rebuild_deaths(table, radix=DEFAULT_RADIX):
     DomainError
         When the terminal age group does not have ``qx = 1``.
     """
-    if radix <= 0.0:
-        raise DomainError("radix must be positive")
+    check_radix(radix)
     years, ages, qx = map(np.asarray, table)
     if years.size == 0:
         raise CompletenessError("no rows to rebuild from")

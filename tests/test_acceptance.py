@@ -238,10 +238,10 @@ def test_synthetic_calibration_with_a_realistic_infant_share(capsys):
         configs=(MethodConfig(model="dfm", components="one", n_samples=1000),),
     )
     bands = {}
-    forecast_dfm = MODEL_FORECASTERS["dfm"]
+    registered = MODEL_FORECASTERS["dfm"]
 
     def recording(series, config, horizons, levels, rng_seed):
-        out = forecast_dfm(series, config, horizons, levels, rng_seed)
+        out = registered(series, config, horizons, levels, rng_seed)
         bands[series.n] = (out[0].lower[0.8], out[0].upper[0.8])
         return out
 
@@ -249,7 +249,7 @@ def test_synthetic_calibration_with_a_realistic_infant_share(capsys):
     try:
         report = run_backtest(grid, plan, rng_seed=7)
     finally:
-        MODEL_FORECASTERS["dfm"] = forecast_dfm
+        MODEL_FORECASTERS["dfm"] = registered
     achieved = float(report.rows[0].ecp_by_horizon[0])
     windows = sorted(bands)
     plain = ecp(
@@ -306,10 +306,10 @@ def _ar_bands(grid):
             for primary in ("random_walk_drift", "ar_aic")
         ),
     )
-    forecast_dfm = MODEL_FORECASTERS["dfm"]
+    registered = MODEL_FORECASTERS["dfm"]
 
     def recording(series, config, horizons, levels, rng_seed):
-        out = forecast_dfm(series, config, horizons, levels, rng_seed)
+        out = registered(series, config, horizons, levels, rng_seed)
         for h, fc in enumerate(out, start=1):
             key = (n_jobs, config.primary_method, series.n, h)
             bands[key] = (fc.lower, fc.upper)

@@ -31,7 +31,7 @@ from codaboot import (
 )
 from codaboot.bootstrap import SCORE_METHODS, BootstrapForecast, _openblas_threads
 from codaboot.coda import clr
-from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for, forecast_dfm, forecast_lc
+from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for, forecast
 
 
 def test_ecp_trivial_cases():
@@ -53,6 +53,30 @@ def test_ecp_counts_a_point_outside_an_inverted_band_once():
     # which is one miss; the second point is covered.
     assert ecp([[5.0, 5.0]], [[6.0, 0.0]], [[4.0, 9.0]], 1, 1) == 0.5
     assert ecp([[5.0, 5.0]], [[6.0, 6.0]], [[4.0, 4.0]], 1, 1) == 0.0
+
+
+def test_ecp_rejects_nan_bounds_and_nonfinite_holdouts():
+    # A comparison with NaN is false, so a NaN would never count as a miss.
+    for lower, upper in ((np.nan, np.nan), (0.0, np.nan), (np.nan, 2.0)):
+        with pytest.raises(DomainError, match="NaN"):
+            ecp([[1.0]], [[lower]], [[upper]], 1, 1)
+    for holdout in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="holdouts must be finite"):
+            ecp([[holdout]], [[0.0]], [[2.0]], 1, 1)
+    # Infinite bounds still cover everything on their side.
+    assert ecp([[1.0, 1.0]], [[-np.inf, 2.0]], [[np.inf, np.inf]], 1, 1) == 0.5
+
+
+def test_backtest_refuses_a_forecaster_with_nan_bands():
+    grid = make_factor_grid(n_years=30, n_ages=6, seed=1)
+    plan = BacktestPlan(
+        initial_window=24,
+        max_horizon=4,
+        levels=(0.8,),
+        configs=(MethodConfig(model="scripted", components="one"),),
+    )
+    with pytest.raises(DomainError, match="NaN"):
+        _run_scripted(grid, plan, _constant_band(np.nan, np.nan))
 
 
 def test_ecp_matches_double_loop_oracle():
@@ -211,6 +235,12 @@ def test_fit_dfm_for_rejects_other_models():
     for model in ("lc", "scripted"):
         with pytest.raises(ConfigurationError, match="dfm"):
             fit_dfm_for(series, MethodConfig(model=model))
+
+
+def test_forecast_rejects_an_unknown_model_by_name():
+    series = clr(make_factor_grid(n_years=20, n_ages=6, seed=0))
+    with pytest.raises(ConfigurationError, match="'x'"):
+        forecast(series, MethodConfig(model="x"), 3, (0.8,), 0)
 
 
 def test_cpd_and_averages():
@@ -641,17 +671,16 @@ def test_backtest_passes_the_independence_settings_to_the_fit():
 
 
 @pytest.mark.parametrize(
-    "forecaster, option",
-    [(forecast_dfm, {"primary_method": method}) for method in SCORE_METHODS]
-    + [(forecast_lc, {"model": "lc"})],
+    "option",
+    [{"primary_method": method} for method in SCORE_METHODS] + [{"model": "lc"}],
     # Lee-Carter replicates draw whole residual rows from the pools.
     ids=[f"dfm-{method}" for method in SCORE_METHODS] + ["lc-rows"],
 )
-def test_bands_only_forecasts_equal_the_kept_samples_path_bit_for_bit(forecaster, option):
+def test_bands_only_forecasts_equal_the_kept_samples_path_bit_for_bit(option):
     series = clr(make_factor_grid(40, 31, seed=3))
     config = MethodConfig(n_samples=300, **option)
-    bands_only = forecaster(series, config, 5, (0.8, 0.95), 11)
-    kept = forecaster(series, config, 5, (0.8, 0.95), 11, keep_samples=True)
+    bands_only = forecast(series, config, 5, (0.8, 0.95), 11)
+    kept = forecast(series, config, 5, (0.8, 0.95), 11, keep_samples=True)
     for fc, ref in zip(bands_only, kept, strict=True):
         assert fc.samples is None
         assert ref.samples.shape == (300, 31)
@@ -672,7 +701,7 @@ def test_bands_only_factor_forecasts_hold_one_horizon_of_replicates():
     def peak(horizons, keep_samples):
         tracemalloc.start()
         try:
-            forecast_dfm(series, config, horizons, (0.8, 0.95), 0, keep_samples=keep_samples)
+            forecast(series, config, horizons, (0.8, 0.95), 0, keep_samples=keep_samples)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

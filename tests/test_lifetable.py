@@ -590,6 +590,22 @@ def test_rebuild_rejects_empty_and_bad_radix():
         rebuild_deaths(_columns(_full_rows(2000, 0.05)), radix=0.0)
 
 
+@pytest.mark.parametrize("radix", [np.nan, np.inf, -np.inf, -1.0])
+def test_rebuild_rejects_a_radix_that_is_not_finite_and_positive(radix):
+    with pytest.raises(DomainError, match="radix must be finite and positive"):
+        rebuild_deaths(_columns(_full_rows(2000, 0.05)), radix=radix)
+
+
+@pytest.mark.parametrize("radix", [np.nan, np.inf, 0.0])
+def test_grid_rejects_a_radix_that_is_not_finite_and_positive(radix):
+    # Rows that sum to 100 fail a NaN radix only through the radix check:
+    # the row-sum comparison against NaN is false.
+    with pytest.raises(DomainError, match="radix must be finite and positive"):
+        LifeTableGrid(
+            years=[2000], ages=np.arange(3), deaths=[[20.0, 30.0, 50.0]], radix=radix
+        )
+
+
 def test_grid_validation_rejects_broken_rows():
     years = np.array([2000])
     ages = np.arange(3)

@@ -1,6 +1,7 @@
 """Package surface: import cost, the demos and the names they rely on."""
 
 import ast
+import collections
 import importlib.util
 import os
 import pathlib
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import codaboot
+from codaboot import cli, evaluation
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -107,3 +109,41 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
         module = importlib.import_module(f"codaboot.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
     assert {"dfm", "lc"} <= set(codaboot.evaluation.MODEL_FORECASTERS)
+
+
+def test_cli_forecasts_bypass_the_registry_and_read_their_functions_at_call_time(
+    tmp_path, monkeypatch
+):
+    # The tracer of bench/spans.py rebinds the fit and path functions in
+    # every codaboot module namespace and wraps the MODEL_FORECASTERS
+    # entries as backtest windows.  A CLI forecast therefore must not go
+    # through the registry, and evaluation.forecast must look up the
+    # functions it calls when it runs, not hold them from import time.
+    assert set(cli._MODEL_READS) == set(evaluation.MODEL_FORECASTERS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI forecast went through MODEL_FORECASTERS")
+
+    for model in evaluation.MODEL_FORECASTERS:
+        monkeypatch.setitem(evaluation.MODEL_FORECASTERS, model, refuse)
+    calls = collections.Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fit_lc", "lc_bootstrap_path", "fit_dfm", "bootstrap_forecast_path"):
+        monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
+    expected = {
+        "lc": {"fit_lc": 1, "lc_bootstrap_path": 1},
+        "dfm": {"fit_dfm": 1, "bootstrap_forecast_path": 1},
+    }
+    for model, counts in expected.items():
+        calls.clear()
+        args = ["forecast", "--synthetic", "30", "--model", model, "--horizon-max", "2",
+                "--replications", "20", "--out", str(tmp_path / model)]
+        assert cli.main(args) == 0
+        assert calls == counts, model
