@@ -9,9 +9,11 @@ mops up whatever serial dependence the first stage leaves behind.
 import numpy as np
 
 from codaboot import (
+    MethodConfig,
     clr,
     difference_series,
-    fit_dfm,
+    first_stage,
+    fit_dfm_for,
     functional_kpss_pvalue,
     make_factor_grid,
 )
@@ -26,16 +28,20 @@ stat_diff, p_diff = functional_kpss_pvalue(
 print(f"trend stationarity: raw stat {stat_raw:.3f} (p {p_raw:.3f}), "
       f"differenced stat {stat_diff:.3f} (p {p_diff:.3f})")
 
-fit = fit_dfm(series, 6, 6, force_residual_stage=False)
+# Six components per stage; the residual stage runs only when the test
+# on the first-stage residuals finds serial dependence.
+config = MethodConfig(components="six", force_residual_stage=False)
+fit = fit_dfm_for(series, config)
+independence = first_stage(series, config)[1]
 
 share = fit.primary_basis.eigenvalues / fit.primary_basis.eigenvalues.sum()
 print(f"primary eigenvalue shares: {np.round(share, 3)}")
 print(f"long-run covariance bandwidth: {fit.bandwidth:g}")
 print(
-    f"first-stage residual independence: p {fit.independence.p_value:.3f}"
-    f" (projection dim {fit.independence.projection_dim})"
+    f"first-stage residual independence: p {independence.p_value:.3f}"
+    f" (projection dim {independence.projection_dim})"
 )
-print(f"residual stage ran: {fit.residual_stage_ran}")
+print(f"residual stage ran: {fit.n_residual > 0}")
 
 # Adding residuals back makes the decomposition exact by construction;
 # what the model itself explains is everything but final_residuals.

@@ -11,7 +11,7 @@ import numpy as np
 from codaboot import bootstrap_forecast_path, clr, fit_dfm, make_factor_grid, trapezoid_weights
 
 grid = make_factor_grid(n_years=70, n_ages=31, seed=12)
-fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+fit = fit_dfm(clr(grid), 6, 6)
 
 path = bootstrap_forecast_path(fit, max_horizon=10, n_samples=1000, rng_seed=1)
 

@@ -42,6 +42,8 @@ from .evaluation import (
     BacktestRow,
     MethodConfig,
     ecp,
+    first_stage,
+    fit_dfm_for,
     run_backtest,
     series_prefix,
 )

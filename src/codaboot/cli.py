@@ -37,11 +37,11 @@ import numpy as np
 
 from .coda import clr
 from .bootstrap import SCORE_METHODS, _check_levels, _one_blas_thread
-from .dfm import component_counts, fit_dfm
 from .errors import CodabootError, ConfigurationError
 from .evaluation import (
     BacktestPlan,
     MethodConfig,
+    first_stage,
     fit_dfm_for,
     forecast,
     run_backtest,
@@ -244,8 +244,8 @@ def _check_options(config):
         reads.update(_MODEL_READS[config.model])
         run += f" and model {config.model!r}"
         if config.model == "dfm" and config.force_residual_stage:
-            # A forced residual stage runs whatever the independence test
-            # decides, so the test's settings change no output.
+            # A forced residual stage runs without the independence test,
+            # so the test's settings change no output.
             reads -= {"lags", "dim"}
             run += " and a forced residual stage"
     defaults = RunConfig(subcommand=config.subcommand)
@@ -348,12 +348,9 @@ def _cmd_diagnose(config, grid):
         decision = "trend-nonstationary" if pval <= 0.05 else "trend-stationary"
         rows.append([f"stationarity_{name}", stat, pval, decision])
 
-    # The row reads the test on the first-stage residuals, which the fit
-    # runs before any residual stage, so only the first stage is fitted.
-    outcome = fit_dfm(
-        series, component_counts(config.components), 0, bandwidth=config.bandwidth,
-        independence_lags=config.lags, independence_dim=config.dim,
-    ).independence
+    # The row reads the test on the first-stage residuals, so only the
+    # first stage is fitted.
+    outcome = first_stage(series, _method_config(config))[1]
     decision = "dependent" if outcome.dependent() else "independent"
     decision = "degenerate" if outcome.degenerate else decision
     rows.append(["residual_independence", outcome.statistic, outcome.p_value, decision])
@@ -363,7 +360,8 @@ def _cmd_diagnose(config, grid):
 
 def _cmd_fit(config, grid):
     """export the decomposition"""
-    fitted = fit_dfm_for(clr(grid), _method_config(config))
+    series, method = clr(grid), _method_config(config)
+    fitted = fit_dfm_for(series, method)
     ages, years = grid.ages.tolist(), grid.years.tolist()
     tables = [("mean_curve.csv", ["age", "value"], zip(ages, fitted.mean_curve.tolist()))]
     summary = []
@@ -377,8 +375,9 @@ def _cmd_fit(config, grid):
         rows = _labelled(years, scores.tolist())
         tables.append((f"{stage}_scores.csv", ["year"] + components, rows))
         summary += [(stage, k + 1, v) for k, v in enumerate(basis.eigenvalues.tolist())]
-    summary.append(("independence_p_value", "", fitted.independence.p_value))
-    summary.append(("residual_stage_ran", "", str(fitted.residual_stage_ran).lower()))
+    # A forced fit runs no test, so the first stage's is made here.
+    summary.append(("independence_p_value", "", first_stage(series, method)[1].p_value))
+    summary.append(("residual_stage_ran", "", str(fitted.n_residual > 0).lower()))
     residuals = _labelled(years, fitted.final_residuals.tolist())
     tables.append(("final_residuals.csv", ["year"] + [f"age_{a}" for a in ages], residuals))
     tables.append(("fit_summary.csv", ["name", "index", "value"], summary))

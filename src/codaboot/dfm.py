@@ -3,12 +3,12 @@
 The first stage captures the nonstationary part of the series: the
 long-run covariance of the differenced curves is eigendecomposed and the
 centred original curves are projected onto its leading eigenfunctions.
-What remains after removing those components is tested for serial
-independence; when dependence survives (or the caller insists), a second
-stage repeats the construction on the residual curves themselves, giving
-a set of stationary components.  Whatever neither stage explains is kept
-as the final residual curves, so the fit always reproduces the input
-exactly:
+A second stage, which runs whenever it is given components, repeats the
+construction on the first-stage residual curves themselves, giving a set
+of stationary components.  Whether a model asks for that stage is
+decided by its caller (:func:`codaboot.evaluation.fit_dfm_for`).
+Whatever neither stage explains is kept as the final residual curves, so
+the fit always reproduces the input exactly:
 
     X_t = mean + primary scores . primary basis
                + residual scores . residual basis + Y_t.
@@ -24,10 +24,8 @@ from .coda import ClrSeries
 from .errors import DomainError, InsufficientDataError, RankError, check_integer
 from .fts import (
     EigenBasis,
-    IndependenceResult,
     difference_series,
     fpca,
-    independence_test,
     long_run_covariance,
     plugin_bandwidth,
     project_scores,
@@ -74,11 +72,11 @@ class DfmFit:
     ``final_residuals`` holds whatever the two stages left unexplained;
     adding the three model terms and the residuals back together
     reproduces the input curves exactly (see :meth:`reconstruction`).
-    When the residual stage did not run, ``residual_basis`` is empty and
-    ``final_residuals`` equals the first-stage remainder.  The Lee-Carter
-    baseline (:func:`~codaboot.leecarter.fit_lc`) is such a one-stage fit,
-    with ``independence`` and ``bandwidth`` ``None`` because it runs no
-    test and estimates no long-run covariance.
+    The residual stage ran exactly when ``n_residual > 0``; otherwise
+    ``residual_basis`` is empty and ``final_residuals`` equals the
+    first-stage remainder.  The Lee-Carter baseline
+    (:func:`~codaboot.leecarter.fit_lc`) is such a one-stage fit, with
+    ``bandwidth`` ``None`` because it estimates no long-run covariance.
     """
 
     years: np.ndarray
@@ -90,9 +88,7 @@ class DfmFit:
     residual_basis: EigenBasis
     residual_scores: np.ndarray
     final_residuals: np.ndarray
-    independence: IndependenceResult | None
     bandwidth: float | None
-    residual_stage_ran: bool
 
     @property
     def n(self) -> int:
@@ -118,15 +114,7 @@ class DfmFit:
         return values
 
 
-def fit_dfm(
-    series,
-    n_primary,
-    n_residual,
-    bandwidth=None,
-    force_residual_stage=False,
-    independence_lags=5,
-    independence_dim=3,
-):
+def fit_dfm(series, n_primary, n_residual, bandwidth=None):
     """Fit the two-stage factor model to a clr curve series.
 
     Parameters
@@ -137,20 +125,12 @@ def fit_dfm(
         Components extracted from the long-run covariance of the
         differenced series.
     n_residual : int
-        Components available to the residual stage; the stage only runs
-        when the first-stage residuals fail the independence test, unless
-        ``force_residual_stage`` is set.
+        Components of the residual stage, which runs exactly when this is
+        positive; 0 gives a one-stage fit.
     bandwidth : float, optional
         Long-run covariance bandwidth for the first stage; defaults to
         the plug-in rule on the differenced series.  The residual stage
         always uses the plug-in rule on its own input.
-    force_residual_stage : bool
-        Run the residual stage whenever ``n_residual > 0``, regardless of
-        the test outcome.  Fixed-count experiments use this so their
-        component counts do not depend on a test decision.
-    independence_lags, independence_dim :
-        Passed to the serial-independence diagnostic on the first-stage
-        residuals, whose decision is taken at the 5% level.
 
     Returns
     -------
@@ -162,9 +142,7 @@ def fit_dfm(
     if n < 10:
         raise InsufficientDataError(f"need at least 10 curves, got {n}")
     r = check_integer(n_primary, "n_primary", minimum=1)
-    q = check_integer(n_residual, "n_residual")
-    if q < 0:
-        raise DomainError(f"n_residual must be nonnegative, got {n_residual}")
+    q = check_integer(n_residual, "n_residual", minimum=0)
     if r > d or q > d:
         raise RankError(f"component counts must not exceed the grid size {d}")
 
@@ -178,26 +156,13 @@ def fit_dfm(
     primary_scores = project_scores(centered, primary_basis)
     first_residuals = centered - primary_scores @ primary_basis.functions
 
-    independence = independence_test(
-        first_residuals,
-        lag_count=independence_lags,
-        projection_dim=independence_dim,
-        grid=series.grid,
-    )
-
-    run_stage = q > 0 and (force_residual_stage or independence.dependent())
-    if run_stage:
+    if q > 0:
         residual_long_run = long_run_covariance(first_residuals, grid=series.grid)
         residual_basis = fpca(residual_long_run, q)
         residual_scores = project_scores(first_residuals, residual_basis)
         final_residuals = first_residuals - residual_scores @ residual_basis.functions
     else:
-        residual_basis = EigenBasis(
-            eigenvalues=np.empty(0),
-            functions=np.empty((0, d)),
-            grid=series.grid,
-            weights=series.weights,
-        )
+        residual_basis = EigenBasis(np.empty(0), np.empty((0, d)), series.grid, series.weights)
         residual_scores = np.empty((n, 0))
         final_residuals = first_residuals
 
@@ -211,7 +176,5 @@ def fit_dfm(
         residual_basis=residual_basis,
         residual_scores=residual_scores,
         final_residuals=final_residuals,
-        independence=independence,
         bandwidth=h,
-        residual_stage_ran=run_stage,
     )

@@ -28,6 +28,7 @@ from .bootstrap import (
     bootstrap_forecast_path,
 )
 from .errors import ConfigurationError, DomainError, ShapeError, check_integer
+from .fts import independence_test
 from .leecarter import fit_lc, lc_bootstrap_path
 from .lifetable import LifeTableGrid
 
@@ -99,6 +100,12 @@ class MethodConfig:
     independence_lags: int = 5
     independence_dim: int = 3
 
+    def __post_init__(self):
+        # Checked here, not only by the test, which a forced fit never runs.
+        for name in ("independence_lags", "independence_dim"):
+            value = check_integer(getattr(self, name), name, ConfigurationError, minimum=1)
+            object.__setattr__(self, name, value)
+
     @property
     def label(self):
         return f"{self.model}-{self.components}"
@@ -147,20 +154,35 @@ class BacktestReport:
     rows: tuple
 
 
+def first_stage(series, config):
+    """``(DfmFit, IndependenceResult)``: the one-stage factor fit of
+    ``config``'s components and bandwidth, and the serial-independence test
+    of its ``final_residuals`` under ``config``'s lags and dimension."""
+    fit = fit_dfm(series, component_counts(config.components), 0, bandwidth=config.bandwidth)
+    return fit, independence_test(
+        fit.final_residuals,
+        lag_count=config.independence_lags,
+        projection_dim=config.independence_dim,
+        grid=series.grid,
+    )
+
+
 def fit_dfm_for(series, config):
-    """Fit the two-stage factor model that a :class:`MethodConfig` describes."""
+    """Fit the factor model that a :class:`MethodConfig` describes, with
+    ``config.components`` components per stage.  A forced residual stage
+    runs untested; otherwise it runs only when :func:`first_stage`'s test
+    finds dependence at the 5% level, and the first-stage fit is returned
+    when it does not."""
     if config.model != "dfm":
         raise ConfigurationError(
             f"a factor-model fit needs model 'dfm', got {config.model!r}"
         )
+    if not config.force_residual_stage:
+        fit, independence = first_stage(series, config)
+        if not independence.dependent():
+            return fit
     k = component_counts(config.components)
-    return fit_dfm(
-        series, k, k,
-        bandwidth=config.bandwidth,
-        force_residual_stage=config.force_residual_stage,
-        independence_lags=config.independence_lags,
-        independence_dim=config.independence_dim,
-    )
+    return fit_dfm(series, k, k, bandwidth=config.bandwidth)
 
 
 def forecast(series, config, horizons, levels, rng_seed, keep_samples=False):

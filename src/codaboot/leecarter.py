@@ -35,9 +35,8 @@ def fit_lc(series, n_components=1):
     the matching left singular vectors scaled by ``s``.  Each component is
     flipped, with its score column, so that its entry of largest magnitude
     is positive.  The residual stage is empty, ``final_residuals`` holds
-    the tail singular triplets, and ``independence`` and ``bandwidth`` are
-    ``None``: the baseline runs no test and estimates no long-run
-    covariance.
+    the tail singular triplets, and ``bandwidth`` is ``None``: the
+    baseline estimates no long-run covariance.
 
     Parameters
     ----------
@@ -72,9 +71,7 @@ def fit_lc(series, n_components=1):
         residual_basis=EigenBasis(np.empty(0), np.empty((0, d)), series.grid, np.ones(d)),
         residual_scores=np.empty((n, 0)),
         final_residuals=(series.values - mean_curve) - scores @ components,
-        independence=None,
         bandwidth=None,
-        residual_stage_ran=False,
     )
 
 

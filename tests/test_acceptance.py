@@ -93,7 +93,7 @@ def test_bootstrap_radix_conservation(capsys):
     # Every sample at every horizon of a full bootstrap run integrates
     # back to the radix.
     grid = make_factor_grid(n_years=50, n_ages=31, seed=0)
-    fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+    fit = fit_dfm(clr(grid), 6, 6)
     path = bootstrap_forecast_path(fit, max_horizon=20, n_samples=1000, rng_seed=0)
     w = trapezoid_weights(grid.ages.astype(float))
     dev = max(float(np.max(np.abs(fc.samples @ w - RADIX))) for fc in path)
@@ -289,7 +289,7 @@ def _ar_bands(grid):
     """Every band of a bootstrap path and of a backtest at one and two
     workers on ``grid``, with AR-AIC on the residual scores alone and on
     both score groups."""
-    fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+    fit = fit_dfm(clr(grid), 6, 6)
     bands = {}
     for primary in ("random_walk_drift", "ar_aic"):
         path = bootstrap_forecast_path(
@@ -365,7 +365,7 @@ def test_ar_aic_pools_stay_on_the_scale_of_their_scores(capsys):
         make_synthetic_grid(60, seed=3),
         make_factor_grid(80, 31, seed=0),
     ):
-        fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+        fit = fit_dfm(clr(grid), 6, 6)
         pools = build_error_pools(fit, 20)
         scale = fit.residual_scores.std(axis=0)
         worst.append(max(float(np.max(np.abs(pool) / scale)) for pool in pools.residual))
@@ -433,7 +433,7 @@ def _outer_assembly(error_pool, horizon, n_samples=1000, levels=(0.8, 0.95), rng
 def _dfm_forecasts(grid):
     """Factor-model bootstrap paths on ``grid``, one per primary score
     method."""
-    fit = fit_dfm(clr(grid), 6, 6, force_residual_stage=True)
+    fit = fit_dfm(clr(grid), 6, 6)
     forecasts = {}
     for method in SCORE_METHODS:
         path = bootstrap_forecast_path(

@@ -388,7 +388,7 @@ def _fixture_fit(seed=2, n=40, d=10, residual=1):
     raw = np.cumsum(rng.normal(size=(n, d)), axis=0) + 0.3 * rng.normal(size=(n, d))
     values = raw - ((raw @ w) / (grid[-1] - grid[0]))[:, None]
     series = ClrSeries(years=np.arange(n), grid=grid, values=values, radix=1000.0)
-    return fit_dfm(series, n_primary=2, n_residual=residual, force_residual_stage=True)
+    return fit_dfm(series, n_primary=2, n_residual=residual)
 
 
 def _direct_pool(x, method, h):

@@ -7,10 +7,13 @@ from codaboot import (
     ClrSeries,
     DomainError,
     InsufficientDataError,
+    MethodConfig,
     RankError,
     clr,
     component_counts,
+    first_stage,
     fit_dfm,
+    fit_dfm_for,
     trapezoid_weights,
 )
 
@@ -86,10 +89,12 @@ def test_planted_single_factor_is_recovered():
 
 
 def test_zero_first_stage_residuals_skip_the_second_stage():
+    # An unforced fit leaves the stage to the first stage's test, which
+    # reads degenerate residuals as independent.
     series, *_ = _planted_rank1()
-    fit = fit_dfm(series, n_primary=1, n_residual=3)
-    assert fit.independence.degenerate
-    assert not fit.residual_stage_ran
+    config = MethodConfig(components="one", force_residual_stage=False)
+    assert first_stage(series, config)[1].degenerate
+    fit = fit_dfm_for(series, config)
     assert fit.n_residual == 0
     assert fit.residual_scores.shape == (series.n, 0)
 
@@ -100,10 +105,14 @@ def test_forced_residual_stage_always_runs():
     series = _series_from_values(
         np.cumsum(rng.normal(size=(40, 10)), axis=0) + rng.normal(size=(40, 10)), grid
     )
-    forced = fit_dfm(series, n_primary=2, n_residual=2, force_residual_stage=True)
-    assert forced.residual_stage_ran
-    assert forced.n_residual == 2
-    assert forced.residual_scores.shape == (40, 2)
+    # The stage runs whenever it is given components, and a forced fit
+    # gives it them whatever the independence test would find.
+    for forced in (fit_dfm(series, n_primary=2, n_residual=2),
+                   fit_dfm_for(series, MethodConfig(components=2))):
+        assert forced.n_residual == 2
+        assert forced.residual_scores.shape == (40, 2)
+    planted, *_ = _planted_rank1()
+    assert fit_dfm_for(planted, MethodConfig(components="one")).n_residual == 1
 
 
 def test_reconstruction_identity_holds_for_any_input():
@@ -116,7 +125,6 @@ def test_reconstruction_identity_holds_for_any_input():
             series,
             n_primary=int(rng.integers(1, 4)),
             n_residual=int(rng.integers(0, 3)),
-            force_residual_stage=bool(rng.integers(0, 2)),
         )
         np.testing.assert_allclose(
             fit.reconstruction(), series.values, rtol=0, atol=1e-10

@@ -1,5 +1,6 @@
 """Coverage metrics and the expanding-window backtest harness."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -29,9 +30,10 @@ from codaboot import (
     series_prefix,
     trapezoid_weights,
 )
+from codaboot import cli, evaluation
 from codaboot.bootstrap import SCORE_METHODS, BootstrapForecast, _openblas_threads
 from codaboot.coda import clr
-from codaboot.evaluation import MODEL_FORECASTERS, fit_dfm_for, forecast
+from codaboot.evaluation import MODEL_FORECASTERS, first_stage, fit_dfm_for, forecast
 
 
 def test_ecp_trivial_cases():
@@ -235,6 +237,76 @@ def test_fit_dfm_for_rejects_other_models():
     for model in ("lc", "scripted"):
         with pytest.raises(ConfigurationError, match="dfm"):
             fit_dfm_for(series, MethodConfig(model=model))
+
+
+@pytest.mark.parametrize("name", ["independence_lags", "independence_dim"])
+@pytest.mark.parametrize("value", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+def test_method_config_rejects_bad_independence_settings(name, value):
+    # A forced fit runs no independence test, so the test's own check
+    # would no longer catch these; the config does, whatever the stage.
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        MethodConfig(**{name: value})
+
+
+def _assert_same_fit(fit, other):
+    for field in dataclasses.fields(fit):
+        a, b = getattr(fit, field.name), getattr(other, field.name)
+        if dataclasses.is_dataclass(a):
+            _assert_same_fit(a, b)
+        else:
+            np.testing.assert_array_equal(a, b, strict=True, err_msg=field.name)
+
+
+def test_only_an_unforced_fit_runs_the_independence_test(tmp_path, monkeypatch):
+    # The residual-stage policy lives in evaluation: a forced fit skips the
+    # test, an unforced one makes it once, and fit and diagnose report it.
+    calls = []
+    original = evaluation.independence_test
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "codaboot" and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    grid = make_factor_grid(n_years=30, n_ages=8, seed=1)
+    forced = MethodConfig(components="one", n_samples=20)
+    forecast(clr(grid), forced, 2, (0.8,), 0)
+    run_backtest(grid, BacktestPlan(initial_window=25, max_horizon=2, configs=(forced,)))
+    assert len(calls) == 0
+    common = ["--synthetic", "30", "--components", "one"]
+    for command in (["fit"], ["diagnose", "--kpss-permutations", "9"]):
+        calls.clear()
+        assert cli.main(command + common + ["--out", str(tmp_path / command[0])]) == 0
+        assert len(calls) == 1, command[0]
+
+    # Unforced, the fit is the first stage's where the test finds
+    # independence and the forced fit where it finds dependence.
+    branches = {True: 0, False: 0}
+    for seed in range(12):
+        for n_years in (30, 60):
+            series = clr(make_factor_grid(n_years, seed=seed))
+            for components in ("one", 2, "six"):
+                for lags in (1, 5):
+                    config = MethodConfig(
+                        components=components, force_residual_stage=False,
+                        independence_lags=lags, independence_dim=1,
+                    )
+                    calls.clear()
+                    fit = fit_dfm_for(series, config)
+                    assert len(calls) == 1
+                    first, independence = first_stage(series, config)
+                    expected = (
+                        fit_dfm_for(series, dataclasses.replace(config, force_residual_stage=True))
+                        if independence.dependent() else first
+                    )
+                    _assert_same_fit(fit, expected)
+                    branches[independence.dependent()] += 1
+    assert min(branches.values()) > 0
 
 
 def test_forecast_rejects_an_unknown_model_by_name():

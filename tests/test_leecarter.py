@@ -158,9 +158,8 @@ def test_the_fit_reads_as_a_factor_fit_with_an_empty_residual_stage():
     )
     fit = fit_lc(series, n_components=2)
     assert isinstance(fit, DfmFit)
-    assert fit.residual_stage_ran is False
-    assert fit.independence is None and fit.bandwidth is None
-    assert (fit.n_primary, fit.n_residual) == (2, 0)
+    assert fit.n_residual == 0 and fit.bandwidth is None
+    assert fit.n_primary == 2
     assert fit.residual_basis.functions.shape == (0, 6)
     assert fit.residual_scores.shape == (12, 0)
     # The eigenvalues are those of the sample covariance with divisor n.
