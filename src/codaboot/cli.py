@@ -223,10 +223,15 @@ _OPTIONS = {
 }
 
 
+# The counts that must be at least 1.  The initial window's minimum
+# belongs to BacktestPlan, which names it.
+_COUNTS = ("replications", "max_horizon", "jobs", "kpss_permutations", "lags", "dim")
+
+
 def _check_options(config):
     """Reject a run without exactly one source, an unread field away from
-    its default, a negative seed, a level that its column tag does not
-    name, and levels that share a column tag."""
+    its default, a negative seed, a count below 1, a level that its column
+    tag does not name, and levels that share a column tag."""
     sources = [name for name in ("input", "synthetic") if getattr(config, name) is not None]
     if len(sources) != 1:
         given = " and ".join("--" + name for name in sources) or "neither"
@@ -260,6 +265,11 @@ def _check_options(config):
     for name in ("seed", "synthetic_seed"):
         if getattr(config, name) < 0:
             raise ConfigurationError(f"{_option(config.subcommand, name)} must be non-negative")
+    for name in _COUNTS:
+        value = getattr(config, name)
+        if name in reads and value < 1:
+            option = _option(config.subcommand, name)
+            raise ConfigurationError(f"{option} must be at least 1, got {value}")
     if len({_level_tag(level) for level in config.levels}) < len(config.levels):
         raise ConfigurationError(f"levels {list(config.levels)} share a column tag")
     for level in config.levels:

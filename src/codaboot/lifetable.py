@@ -133,12 +133,6 @@ def _normalize_sex(token):
         raise DomainError(f"unrecognised sex value {token!r}") from None
 
 
-def _open_source(text_source):
-    if hasattr(text_source, "read"):
-        return text_source, False
-    return open(os.fspath(text_source), "r", encoding="utf-8"), True
-
-
 def _parse_int(token, what, line_number):
     token = token.strip()
     try:
@@ -192,12 +186,6 @@ def _find_header(lines):
     raise SchemaError("no header line naming Year, Age and qx was found")
 
 
-def _convert_repeated(tokens, convert):
-    # Each distinct token of a column of few distinct values is converted once.
-    lookup = {token: convert(token) for token in set(tokens)}
-    return np.fromiter(map(lookup.__getitem__, tokens), dtype=int, count=len(tokens))
-
-
 def parse_lifetable(text_source, sex_filter=None):
     """Parse a life table from a text source into three columns.
 
@@ -209,8 +197,8 @@ def parse_lifetable(text_source, sex_filter=None):
     before the header are a free-text preamble in either layout, and
     blank records are skipped.  An open age group such as ``110+`` or
     ``100+`` is folded onto its lower bound.  The missing-value token
-    ``.`` is rejected rather than silently dropped.  Columns are
-    converted in bulk; the first bad record raises, with its line number.
+    ``.`` is rejected rather than silently dropped.  Each record is read
+    once, and the first bad record raises, with its line number.
 
     Parameters
     ----------
@@ -237,12 +225,11 @@ def parse_lifetable(text_source, sex_filter=None):
         When a ``qx`` value falls outside ``[0, 1]``.
     """
     wanted = _normalize_sex(sex_filter) if sex_filter is not None else None
-    handle, owns = _open_source(text_source)
-    try:
-        lines = handle.read().splitlines()
-    finally:
-        if owns:
-            handle.close()
+    if hasattr(text_source, "read"):
+        lines = text_source.read().splitlines()
+    else:
+        with open(os.fspath(text_source), "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
 
     header, tokenise, (year_col, age_col, qx_col), sex_col = _find_header(lines)
     width = 1 + max(year_col, age_col, qx_col, -1 if sex_col is None else sex_col)
@@ -250,47 +237,37 @@ def parse_lifetable(text_source, sex_filter=None):
     if tokenise is _split_lines:
         tokenise = partial(_split_lines, width=width)
 
-    def read(check):
-        # The year and age tokens of the records kept, one object per
-        # distinct token, and their qx values; with ``check`` the token
-        # helpers read each record first.  Records are numbered from the
-        # header's line; a quoted CSV cell that spans lines is one record.
-        years, ages, qx, distinct = [], [], [], {}
-        records = tokenise(islice(lines, header + 1, None))
-        for line_number, record in enumerate(records, start=header + 2):
-            if not any(map(str.strip, record)):
-                continue
-            if len(record) < width:
-                raise ParseError(
-                    f"expected at least {width} columns, got {len(record)}", line_number
-                )
-            if filter_sex and _normalize_sex(record[sex_col]) != wanted:
-                continue
-            if check:
-                _parse_int(record[year_col], "year", line_number)
-                _parse_age(record[age_col], line_number)
-                _parse_qx(record[qx_col], line_number)
-            year, age = record[year_col], record[age_col]
-            years.append(distinct.setdefault(year, year))
-            ages.append(distinct.setdefault(age, age))
-            qx.append(float(record[qx_col]))
-        return years, ages, qx
-
-    try:
-        years, ages, qx = read(check=False)
-        table = LifeTableColumns(
-            _convert_repeated(years, int),
-            _convert_repeated(ages, lambda token: int(token.strip().removesuffix("+"))),
-            np.array(qx),
-        )
-        if not np.all((table.qx >= 0.0) & (table.qx <= 1.0)):
-            raise DomainError("qx must lie in [0, 1]")
-        return table
-    except (ParseError, DomainError, ValueError):
-        # The helpers accept exactly the tokens these conversions accept,
-        # so reading the records again with them raises at the first fault.
-        read(check=True)
-        raise
+    # Records are numbered from the header's line; a quoted CSV cell that
+    # spans lines is one record.  Each year and age token is converted once,
+    # and the helpers raise for every fault, a qx that float cannot read too.
+    years, ages, qx, year_of, age_of = [], [], [], {}, {}
+    records = tokenise(islice(lines, header + 1, None))
+    for line_number, record in enumerate(records, start=header + 2):
+        if not any(map(str.strip, record)):
+            continue
+        if len(record) < width:
+            raise ParseError(
+                f"expected at least {width} columns, got {len(record)}", line_number
+            )
+        if filter_sex and _normalize_sex(record[sex_col]) != wanted:
+            continue
+        year, age, token = record[year_col], record[age_col], record[qx_col]
+        if year not in year_of:
+            year_of[year] = _parse_int(year, "year", line_number)
+        if age not in age_of:
+            age_of[age] = _parse_age(age, line_number)
+        try:
+            value = float(token)
+        except ValueError:
+            value = np.nan
+        if not 0.0 <= value <= 1.0:
+            _parse_qx(token, line_number)
+        years.append(year_of[year])
+        ages.append(age_of[age])
+        qx.append(value)
+    return LifeTableColumns(
+        np.array(years, dtype=int), np.array(ages, dtype=int), np.array(qx, dtype=float)
+    )
 
 
 def rebuild_deaths(table, radix=DEFAULT_RADIX):

@@ -760,18 +760,38 @@ _QUICK_BACKTEST = ["backtest", "--synthetic", "40", "--initial-window", "30",
         ({"subcommand": "gini", "synthetic": 10, "synthetic_seed": -2},
          "--synthetic-seed must be non-negative"),
         (_QUICK_FORECAST + ["--levels", "80,80.5"], None),
+        (_QUICK_FORECAST + ["--replications", "0"], "--replications must be at least 1, got 0"),
+        (_QUICK_FORECAST + ["--horizon-max", "0"], "--horizon-max must be at least 1, got 0"),
+        (_QUICK_BACKTEST + ["--max-horizon", "0"], "--max-horizon must be at least 1, got 0"),
+        (_QUICK_BACKTEST + ["--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (_QUICK_FORECAST + ["--no-force-residual-stage", "--lags", "0"],
+         "--lags must be at least 1, got 0"),
+        (["diagnose", "--synthetic", "25", "--kpss-permutations", "0"],
+         "--kpss-permutations must be at least 1, got 0"),
+        (["diagnose", "--synthetic", "25", "--dim", "0"], "--dim must be at least 1, got 0"),
+        (["fit", "--synthetic", "25", "--lags", "-1"], "--lags must be at least 1, got -1"),
+        ({"subcommand": "forecast", "synthetic": 25, "replications": 0},
+         "--replications must be at least 1, got 0"),
+        ({"subcommand": "backtest", "synthetic": 40, "max_horizon": 0},
+         "--max-horizon must be at least 1, got 0"),
+        ({"subcommand": "diagnose", "synthetic": 25, "kpss_permutations": 0},
+         "--kpss-permutations must be at least 1, got 0"),
     ],
     ids=[
         "tags-forecast", "tags-backtest", "tags-config", "seed-forecast", "seed-backtest",
         "seed-diagnose", "seed-ingest", "seed-config", "synthetic-seed-config",
-        "distinct-tags",
+        "distinct-tags", "replications-forecast", "horizon-max-forecast",
+        "max-horizon-backtest", "jobs-backtest", "lags-forecast", "permutations-diagnose",
+        "dim-diagnose", "lags-fit", "replications-config", "max-horizon-config",
+        "permutations-config",
     ],
 )
 def test_colliding_level_tags_and_negative_seeds_fail_loudly(tmp_path, capsys, args,
                                                              error):
     # Two levels with one column tag would overwrite each other's columns
-    # and files, and numpy takes no negative seed: both fail before any
-    # work, from flags and config files alike.
+    # and files, numpy takes no negative seed, and a count below 1 asks
+    # for no work: each fails before any work, from flags and config files
+    # alike, naming the option.
     out = tmp_path / "out"
     if isinstance(args, dict):
         config = tmp_path / "config.json"

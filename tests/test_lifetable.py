@@ -30,9 +30,10 @@ from codaboot.lifetable import (
     _survivorship_deaths,
 )
 
-# The per-record parser and the per-year rebuild that the columnar ones
-# replaced, kept as reference oracles: the same header rule and token
-# helpers, applied one record and one year at a time.
+# Reference oracles: a parser that sends every token of every record
+# through the token helpers, and a rebuild that runs one year at a time.
+# The parser converts a repeated year or age token once and the rebuild
+# works on all years at once, so each must agree with its oracle.
 
 
 def _reference_parse(text, sex_filter=None):
@@ -316,6 +317,7 @@ def test_both_layouts_parse_to_the_same_rows_and_grid(table):
 
 _FAULTS = (
     "short",
+    "bad_year",
     "missing_value",
     "bad_age",
     "qx_outside",
@@ -352,6 +354,8 @@ def _ingest_cases(draw):
         record = records[at]
         if fault == "short":
             records[at] = record[:1]
+        elif fault == "bad_year":
+            record[column["year"]] = rng.choice(["19x0", "1950.5", "", "1950+"])
         elif fault == "missing_value":
             record[column["qx"]] = "."
         elif fault == "bad_age":
@@ -424,6 +428,10 @@ def test_parse_from_path(tmp_path):
     target = tmp_path / "table.txt"
     target.write_text("Year Age qx\n1950 0 0.5\n", encoding="utf-8")
     assert _rows(parse_lifetable(target)) == [(1950, 0, 0.5)]
+    # A file-like source is read as it is, and stays open for its owner.
+    with open(target, encoding="utf-8") as handle:
+        assert _rows(parse_lifetable(handle)) == [(1950, 0, 0.5)]
+        assert not handle.closed
 
 
 def test_survivorship_toy_table():
